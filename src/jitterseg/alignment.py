@@ -17,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyCluster, InvalidParameter, ShapeMismatch
-from .shapes import PreShape, Rotation2D, _best_rotation_matrix, _readonly
+from .shapes import (
+    PreShape,
+    Rotation2D,
+    _readonly,
+    as_complex,
+    rotation_from_phase,
+    unit_phase,
+)
 
 GPA_TOL = 1e-10
 GPA_MAX_SWEEPS = 50
@@ -60,23 +67,27 @@ class StabilizedMean:
         object.__setattr__(self, "config", _readonly(self.config))
 
 
-def _objective(rotated: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
-    mean = np.mean(rotated, axis=0)
-    obj = sum(float(np.sum((r - mean) ** 2)) for r in rotated) / len(rotated)
+def _objective(rotated: np.ndarray) -> tuple[float, np.ndarray]:
+    mean = rotated.mean(axis=0)
+    resid = rotated - mean
+    obj = float(np.sum(resid.real**2 + resid.imag**2)) / len(rotated)
     return obj, mean
 
 
 def gpa_align(shapes: Sequence[PreShape], members: Sequence[int]) -> GpaResult:
     """Jointly rotate the given cluster members to minimize their spread.
 
-    Classical alternating scheme: start from identity rotations, then
-    repeat {recompute the mean of the rotated members; re-solve each
-    member's rotation against that mean} until the objective decrease
-    falls below ``GPA_TOL`` or ``GPA_MAX_SWEEPS`` sweeps. Each half-step
-    can only lower the objective, so the sweep sequence is non-increasing.
-    Because the objective is already an upper bound on any further
-    decrease, a cluster that starts below tolerance returns immediately
-    with its identity rotations untouched.
+    Classical alternating scheme on Kendall's complex form, where member
+    k is the complex N-vector z_k and its rotation a unit phase w_k:
+    start from identity rotations (w = 1), then repeat {recompute the
+    mean of the rotated members; re-solve every member's rotation against
+    that mean at once, ``w = h / |h|`` with ``h = conj(Z) @ mean``} until
+    the objective decrease falls below ``GPA_TOL`` or ``GPA_MAX_SWEEPS``
+    sweeps. Each half-step can only lower the objective, so the sweep
+    sequence is non-increasing. Because the objective is already an upper
+    bound on any further decrease, a cluster that starts below tolerance
+    returns immediately with its identity rotations untouched. A member
+    orthogonal to the mean (h = 0) keeps the identity.
 
     The solution is only defined up to a common rotation; the gauge is
     fixed by rotating everything so the first member's rotation is the
@@ -85,35 +96,37 @@ def gpa_align(shapes: Sequence[PreShape], members: Sequence[int]) -> GpaResult:
     members = list(members)
     if not members:
         raise EmptyCluster("member set is empty")
-    configs = [shapes[i].config for i in members]
-    n = configs[0].shape[0]
-    for c in configs:
-        if c.shape[0] != n:
-            raise ShapeMismatch(f"frame counts differ: {c.shape[0]} vs {n}")
+    n = shapes[members[0]].n_frames
+    for i in members:
+        if shapes[i].n_frames != n:
+            raise ShapeMismatch(f"frame counts differ: {shapes[i].n_frames} vs {n}")
+    z = as_complex(np.array([shapes[i].config for i in members]))
 
-    rotations = [np.eye(2) for _ in configs]
-    rotated = list(configs)
-    obj, mean = _objective(rotated)
+    z_conj = z.conj()
+    phases = np.ones(len(members), dtype=complex)
+    obj, mean = _objective(z)
     history = [obj]
     for _ in range(GPA_MAX_SWEEPS):
         if obj < GPA_TOL:
             break
-        rotations = [_best_rotation_matrix(mean, c) for c in configs]
-        rotated = [c @ r for c, r in zip(configs, rotations)]
-        new_obj, mean = _objective(rotated)
+        phases = unit_phase(z_conj @ mean)
+        new_obj, mean = _objective(phases[:, None] * z)
         history.append(new_obj)
         decrease = obj - new_obj
         obj = new_obj
         if decrease < GPA_TOL:
             break
 
-    first = rotations[0]
-    if not np.array_equal(first, np.eye(2)):
-        rotations = [r @ first.T for r in rotations]
-        rotations[0] = np.eye(2)
-        rotated = [c @ r for c, r in zip(configs, rotations)]
-        obj, mean = _objective(rotated)
-    return GpaResult(tuple(Rotation2D(r) for r in rotations), mean, obj, tuple(history))
+    if phases[0] != 1.0:
+        phases = phases * phases[0].conjugate()
+        phases[0] = 1.0
+        obj, mean = _objective(phases[:, None] * z)
+    return GpaResult(
+        tuple(rotation_from_phase(w) for w in phases),
+        np.column_stack((mean.real, mean.imag)),
+        obj,
+        tuple(history),
+    )
 
 
 def _jacobi_coefficients(lam: float, n: int) -> tuple[float, float]:

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClusterCollapse, InvalidParameter, ShapeMismatch
-from .shapes import PreShape, procrustes_distance
+from .errors import ClusterCollapse, InvalidAffinity, InvalidParameter, ShapeMismatch
+from .shapes import PreShape, as_complex, unit_phase
 
 DEFAULT_OMEGA = 0.02
 
@@ -35,15 +35,15 @@ class AffinityMatrix:
         v = np.array(self.values, dtype=float)
         v.flags.writeable = False
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("values must be a square matrix")
-        if self.omega <= 0:
+            raise InvalidAffinity("values must be a square matrix")
+        if not self.omega > 0:
             raise InvalidParameter("omega must be > 0")
+        if not np.all((v > 0.0) & (v <= 1.0)):
+            raise InvalidAffinity("affinities must lie in (0, 1]")
         if np.max(np.abs(v - v.T)) > 1e-12:
-            raise ValueError("affinity matrix is not symmetric")
+            raise InvalidAffinity("affinity matrix is not symmetric")
         if not np.all(np.diag(v) == 1.0):
-            raise ValueError("affinity diagonal must be 1")
-        if np.any(v <= 0.0) or np.any(v > 1.0):
-            raise ValueError("affinities must lie in (0, 1]")
+            raise InvalidAffinity("affinity diagonal must be 1")
         object.__setattr__(self, "values", v)
 
     @property
@@ -74,25 +74,43 @@ class ClusterAssignment:
 def build_affinity(shapes: Sequence[PreShape], omega: float = DEFAULT_OMEGA) -> AffinityMatrix:
     """Pairwise affinity exp(-d_proc(i, j) / omega) between pre-shapes.
 
-    The matrix is exactly symmetric (each pair computed once) with unit
-    diagonal.
+    In Kendall's complex form every pair's optimal rotation is the unit
+    phase ``u`` of one entry of the K x K Gram matrix ``G = Z Z^H``
+    (``G[i, j] = <z_j, z_i>``, which rotates shape j onto shape i). The
+    distance is then taken as the literal residual ``||z_i - u z_j||``,
+    one vectorized row per shape, rather than ``sqrt(2 - 2|G_ij|)``: that
+    closed form cancels near d = 0 and would give identical shapes an
+    affinity visibly below 1. The matrix is exactly symmetric (each pair
+    computed once) with unit diagonal.
+
+    Raises ``InvalidParameter`` when ``omega`` is so small that some
+    affinity underflows to 0.
     """
     shapes = list(shapes)
     if len(shapes) < 2:
         raise InvalidParameter("need at least 2 shapes")
-    if omega <= 0:
+    if not omega > 0:
         raise InvalidParameter("omega must be > 0")
     n = shapes[0].n_frames
     for s in shapes:
         if s.n_frames != n:
             raise ShapeMismatch(f"frame counts differ: {s.n_frames} vs {n}")
+    z = as_complex(np.array([s.config for s in shapes]))
+    gram = z @ z.conj().T
     k = len(shapes)
-    values = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            a = np.exp(-procrustes_distance(shapes[i], shapes[j]) / omega)
-            values[i, j] = a
-            values[j, i] = a
+    dist = np.zeros((k, k))
+    for i in range(k - 1):
+        resid = z[i] - unit_phase(gram[i, i + 1 :])[:, None] * z[i + 1 :]
+        dist[i, i + 1 :] = np.sqrt(np.sum(resid.real**2 + resid.imag**2, axis=1))
+    dist = dist + dist.T
+    values = np.exp(-dist / omega)
+    if np.any(values == 0.0):
+        d_min = float(dist[values == 0.0].min())
+        raise InvalidParameter(
+            f"omega={omega:g} is too small: exp(-d/omega) underflows to 0 "
+            f"for Procrustes distances from {d_min:.6g} up"
+        )
+    np.fill_diagonal(values, 1.0)
     return AffinityMatrix(values, omega)
 
 

@@ -17,6 +17,10 @@ class InvalidParameter(JittersegError):
     """A parameter is outside its documented domain."""
 
 
+class InvalidAffinity(JittersegError, ValueError):
+    """An affinity matrix is not square, symmetric, unit-diagonal and in (0, 1]."""
+
+
 class ClusterCollapse(JittersegError):
     """k-means kept producing an empty cluster after all re-seeded restarts."""
 

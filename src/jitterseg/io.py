@@ -107,6 +107,8 @@ def _parse_record(rec: dict, lineno: int, header, seen: set) -> Trajectory:
             f"line {lineno}: trajectory {tid} covers frames outside [0, {frames})"
         )
     arr = np.array(pts, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"trajectory {tid} has a non-finite coordinate", lineno)
     if (
         arr[:, 0].min() < 0
         or arr[:, 0].max() > width

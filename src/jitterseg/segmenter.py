@@ -135,9 +135,9 @@ class SegmenterParams:
     min_block_len: int = 10
 
     def __post_init__(self):
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise InvalidParameter("omega must be > 0")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise InvalidParameter("lam must be >= 0")
         for name in ("outer_iters", "jacobi_iters", "grid_cells", "min_block_len"):
             if getattr(self, name) < 1:

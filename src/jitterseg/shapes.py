@@ -7,6 +7,11 @@ rotation on top of that gives the shape. Two trajectories that differ only
 by a similarity transform (translation, positive scaling, rotation) are
 therefore the same shape, and the Procrustes distance between pre-shapes
 measures how differently they move.
+
+Rotations are solved in Kendall's complex form: a configuration's rows
+(x, y) become the complex N-vector x + iy, a planar rotation becomes a
+unit complex phase, and the best rotation of b onto a is the phase of
+the inner product sum(conj(b) * a). No SVD is needed.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTrajectory, ShapeMismatch
+from .errors import BoundsError, DegenerateTrajectory, ShapeMismatch
 
 # Below this centered Frobenius norm a configuration has no usable shape;
 # far smaller than any realistic pixel-scale trajectory.
@@ -35,7 +40,8 @@ class Trajectory:
     """An (x, y) point track over a contiguous frame range.
 
     Point ``i`` is the position at frame ``start_frame + i``. At least two
-    points are required: a single point has no shape.
+    points are required: a single point has no shape. Every coordinate
+    must be finite (``BoundsError`` otherwise).
     """
 
     id: int
@@ -50,6 +56,8 @@ class Trajectory:
             raise ValueError("a trajectory needs at least 2 points")
         if self.start_frame < 0:
             raise ValueError("start_frame must be >= 0")
+        if not np.all(np.isfinite(pts)):
+            raise BoundsError(f"trajectory {self.id} has a non-finite coordinate")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -95,7 +103,7 @@ class Rotation2D:
             raise ValueError("rotation matrix must be 2x2")
         if np.max(np.abs(m @ m.T - np.eye(2))) > _INVARIANT_TOL:
             raise ValueError("matrix is not orthogonal")
-        if abs(np.linalg.det(m) - 1.0) > _INVARIANT_TOL:
+        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) > _INVARIANT_TOL:
             raise ValueError("matrix is not a proper rotation (det != +1)")
         object.__setattr__(self, "matrix", m)
 
@@ -136,30 +144,60 @@ def to_preshape(traj: Trajectory) -> PreShape:
     return project_to_preshape(traj.points)
 
 
-def _best_rotation_matrix(target: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """SO(2) matrix G minimizing ||target - source @ G||_F.
+def as_complex(configs: np.ndarray) -> np.ndarray:
+    """Kendall's complex form: rows (x, y) of ``configs`` become x + iy.
 
-    Via SVD of source.T @ target = U S Vt: the orthogonal minimizer is
-    U @ Vt; forcing det +1 flips the sign of the smaller singular
-    direction when the unconstrained solution is a reflection.
+    Works on one (N, 2) configuration or a (K, N, 2) stack of them.
+    Right-multiplying a configuration by the rotation matrix of
+    ``rotation_from_phase(u)`` is multiplying its complex form by ``u``.
     """
-    m = source.T @ target
-    u, _, vt = np.linalg.svd(m)
-    sign = 1.0 if np.linalg.det(u @ vt) >= 0.0 else -1.0
-    return u @ np.diag([1.0, sign]) @ vt
+    return configs[..., 0] + 1j * configs[..., 1]
+
+
+def unit_phase(h):
+    """``h / |h|`` elementwise, with 1 wherever ``h == 0``.
+
+    ``h`` is the inner product <b, a> = sum(conj(b) * a) of two pre-shapes;
+    ``unit_phase(h)`` is then the rotation of ``b`` that brings it closest
+    to ``a``. When ``h == 0`` every rotation leaves the same residual, and
+    the identity is returned instead of NaN.
+    """
+    h = np.asarray(h, dtype=complex)
+    mag = np.abs(h)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    return np.where(mag > 0.0, h / safe, 1.0 + 0.0j)
+
+
+def rotation_from_phase(u: complex) -> Rotation2D:
+    """The rotation matrix that acts on (N, 2) rows as ``u`` acts on x + iy."""
+    c, s = float(u.real), float(u.imag)
+    return Rotation2D(np.array([[c, s], [-s, c]]))
+
+
+def _aligned_pair(a: PreShape, b: PreShape) -> tuple[np.ndarray, np.ndarray, complex]:
+    if a.n_frames != b.n_frames:
+        raise ShapeMismatch(f"frame counts differ: {a.n_frames} vs {b.n_frames}")
+    za, zb = as_complex(a.config), as_complex(b.config)
+    return za, zb, complex(unit_phase(np.vdot(zb, za)))
 
 
 def optimal_rotation(a: PreShape, b: PreShape) -> Rotation2D:
-    """The rotation G in SO(2) minimizing ||a - b @ G||_F."""
-    if a.n_frames != b.n_frames:
-        raise ShapeMismatch(f"frame counts differ: {a.n_frames} vs {b.n_frames}")
-    return Rotation2D(_best_rotation_matrix(a.config, b.config))
+    """The rotation G in SO(2) minimizing ||a - b @ G||_F.
+
+    In complex form G is the unit phase of <b, a> = sum(conj(b) * a)
+    (complex Procrustes; Dryden & Mardia, *Statistical Shape Analysis*);
+    when <b, a> = 0 every rotation is optimal and the identity is returned.
+    """
+    return rotation_from_phase(_aligned_pair(a, b)[2])
 
 
 def procrustes_distance(a: PreShape, b: PreShape) -> float:
     """Residual norm between two pre-shapes after optimal rotational alignment.
 
+    The literal residual ``||a - u b||`` with the closed-form phase ``u``
+    of ``optimal_rotation``. It equals ``sqrt(2 - 2|<b, a>|)`` for
+    unit-norm inputs, but that form loses half the digits near d = 0.
     Symmetric in its arguments; ranges over [0, 2] for unit-norm inputs.
     """
-    rot = optimal_rotation(a, b)
-    return float(np.linalg.norm(a.config - b.config @ rot.matrix))
+    za, zb, u = _aligned_pair(a, b)
+    return float(np.linalg.norm(za - u * zb))

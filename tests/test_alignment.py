@@ -14,7 +14,7 @@ from jitterseg import (
 from jitterseg.alignment import _jacobi_coefficients
 from jitterseg.errors import EmptyCluster, InvalidParameter, ShapeMismatch
 
-from conftest import random_preshape, rotation_matrix
+from conftest import random_preshape, rotation_matrix, svd_rotation_matrix
 
 
 def _centroid_objective(configs, rotations):
@@ -135,11 +135,7 @@ class TestGpaAlign:
             ]
             result = gpa_align(shapes, range(5))
             configs = [s.config for s in shapes]
-            rots = []
-            for c in configs:
-                u, _, vt = np.linalg.svd(c.T @ result.mean)
-                sign = 1.0 if np.linalg.det(u @ vt) >= 0 else -1.0
-                rots.append(u @ np.diag([1.0, sign]) @ vt)
+            rots = [svd_rotation_matrix(result.mean, c) for c in configs]
             obj, _ = _centroid_objective(configs, rots)
             assert abs(obj - result.objective) < 1e-9
 

@@ -16,7 +16,13 @@ from jitterseg import (
     to_preshape,
 )
 from jitterseg.clustering import DEFAULT_OMEGA, _spectral_embedding
-from jitterseg.errors import ClusterCollapse, InvalidParameter, ShapeMismatch
+from jitterseg.errors import (
+    ClusterCollapse,
+    InvalidAffinity,
+    InvalidParameter,
+    JittersegError,
+    ShapeMismatch,
+)
 
 from conftest import random_preshape, random_trajectory_points, rotation_matrix
 
@@ -84,6 +90,21 @@ class TestBuildAffinity:
         shapes = [random_preshape(rng) for _ in range(2)]
         with pytest.raises(InvalidParameter):
             build_affinity(shapes, omega=0.0)
+
+    def test_underflow_is_invalid_parameter(self):
+        rng = np.random.default_rng(7)
+        shapes = [random_preshape(rng) for _ in range(4)]
+        d_min = min(
+            procrustes_distance(shapes[i], shapes[j]) for i in range(4) for j in range(i + 1, 4)
+        )
+        omega = d_min / 800.0  # exp(-800) underflows to 0
+        with pytest.raises(InvalidParameter, match=f"omega={omega:g}"):
+            build_affinity(shapes, omega=omega)
+
+    def test_rejects_nan_omega(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(InvalidParameter):
+            build_affinity([random_preshape(rng) for _ in range(2)], omega=float("nan"))
 
     def test_rejects_mixed_lengths(self):
         rng = np.random.default_rng(6)
@@ -190,17 +211,31 @@ class TestSpectralCluster:
 
 
 class TestAffinityType:
+    # InvalidAffinity is both a JittersegError and a ValueError.
     def test_rejects_asymmetric(self):
         v = np.array([[1.0, 0.5], [0.6, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidAffinity):
             AffinityMatrix(v, 0.02)
 
     def test_rejects_bad_diagonal(self):
         v = np.array([[0.9, 0.5], [0.5, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidAffinity):
             AffinityMatrix(v, 0.02)
 
     def test_rejects_out_of_range(self):
         v = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidAffinity):
             AffinityMatrix(v, 0.02)
+
+    def test_rejects_nan(self):
+        v = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(InvalidAffinity):
+            AffinityMatrix(v, 0.02)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(InvalidAffinity):
+            AffinityMatrix(np.ones((2, 3)), 0.02)
+
+    def test_errors_are_value_errors(self):
+        assert issubclass(InvalidAffinity, JittersegError)
+        assert issubclass(InvalidAffinity, ValueError)

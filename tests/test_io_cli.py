@@ -74,6 +74,18 @@ class TestTrajectoryFile:
             parse_trajectories(path)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_coordinate_is_parse_error(self, tmp_path, value):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"frames":3,"width":100,"height":100}\n'
+            '{"id":0,"start":0,"points":[[1,1],[2,1],[3,1]]}\n'
+            '{"id":1,"start":0,"points":[[1,1],[%s,1],[3,1]]}\n' % value
+        )
+        with pytest.raises(ParseError) as info:
+            parse_trajectories(path)
+        assert info.value.line == 3
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("")
@@ -179,6 +191,35 @@ class TestCli:
             ["segment", "--input", str(traj), "--output", str(tmp_path / "x"), "--omega", "0"]
         )
         assert code == 2
+
+    def test_omega_nan_is_usage_error(self, tmp_path):
+        traj, _ = self._synth(tmp_path, 0.0)
+        code = run_cli(
+            ["segment", "--input", str(traj), "--output", str(tmp_path / "x"), "--omega", "nan"]
+        )
+        assert code == 2
+
+    def test_omega_underflow_is_pipeline_error(self, tmp_path, capsys):
+        traj, _ = self._synth(tmp_path, 0.15)
+        out = tmp_path / "x"
+        code = run_cli(["segment", "--input", str(traj), "--output", str(out), "--omega", "1e-4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "segment stage failed" in err and "omega=0.0001" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_input_is_pipeline_error(self, tmp_path, capsys, value):
+        traj = tmp_path / "t.jsonl"
+        traj.write_text(
+            '{"frames":3,"width":100,"height":100}\n'
+            '{"id":0,"start":0,"points":[[1,1],[%s,1],[3,1]]}\n' % value
+        )
+        code = run_cli(["segment", "--input", str(traj), "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "jitterseg segment: parse stage failed: line 2: trajectory 0 has a non-finite coordinate\n"
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli(["segment", "--nope"]) == 2

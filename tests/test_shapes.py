@@ -14,7 +14,7 @@ from jitterseg import (
     project_to_preshape,
     to_preshape,
 )
-from jitterseg.errors import DegenerateTrajectory, ShapeMismatch
+from jitterseg.errors import BoundsError, DegenerateTrajectory, ShapeMismatch
 
 from conftest import grid_search_rotation, random_preshape, random_trajectory_points, rotation_matrix
 
@@ -47,6 +47,11 @@ class TestToPreshape:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             Trajectory(0, 0, np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(BoundsError):
+            Trajectory(0, 0, np.array([[1.0, 2.0], [bad, 3.0]]))
 
 
 class TestProjectToPreshape:
