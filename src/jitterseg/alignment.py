@@ -16,13 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCluster, InvalidParameter, ShapeMismatch
+from .errors import EmptyCluster, InvalidParameter
 from .shapes import (
     PreShape,
     Rotation2D,
     _readonly,
-    as_complex,
     rotation_from_phase,
+    stack_preshapes,
     unit_phase,
 )
 
@@ -38,21 +38,30 @@ _JACOBI_ITER_CAP = 10_000_000
 class GpaResult:
     """Aligned cluster: per-member rotations, mean configuration, objective.
 
-    ``mean`` is the average of the rotated members; ``objective`` is the
-    mean squared residual of the rotated members about it.
-    ``sweep_objectives`` records the objective before any sweep and after
-    each one (diagnostic; non-increasing by construction).
+    ``phases`` holds each member's rotation as a unit complex number (the
+    complex form of ``rotations``); ``mean`` is the average of the rotated
+    members; ``objective`` is the mean squared residual of the rotated
+    members about it. ``sweep_objectives`` records the objective before
+    any sweep and after each one (diagnostic; non-increasing by
+    construction).
     """
 
-    rotations: tuple[Rotation2D, ...]
+    phases: np.ndarray
     mean: np.ndarray
     objective: float
     sweep_objectives: tuple[float, ...] = ()
 
     def __post_init__(self):
+        phases = np.array(self.phases, dtype=complex)
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "mean", _readonly(self.mean))
         if self.objective < 0:
             raise ValueError("objective must be >= 0")
+
+    @property
+    def rotations(self) -> tuple[Rotation2D, ...]:
+        return tuple(rotation_from_phase(w) for w in self.phases)
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,7 @@ def _objective(rotated: np.ndarray) -> tuple[float, np.ndarray]:
     return obj, mean
 
 
-def gpa_align(shapes: Sequence[PreShape], members: Sequence[int]) -> GpaResult:
+def gpa_align(shapes: Sequence[PreShape] | np.ndarray, members: Sequence[int]) -> GpaResult:
     """Jointly rotate the given cluster members to minimize their spread.
 
     Classical alternating scheme on Kendall's complex form, where member
@@ -92,15 +101,17 @@ def gpa_align(shapes: Sequence[PreShape], members: Sequence[int]) -> GpaResult:
     The solution is only defined up to a common rotation; the gauge is
     fixed by rotating everything so the first member's rotation is the
     identity.
+
+    ``shapes`` is a (K, N) complex pre-shape stack or a sequence of
+    ``PreShape``; only the rows in ``members`` are read.
     """
     members = list(members)
     if not members:
         raise EmptyCluster("member set is empty")
-    n = shapes[members[0]].n_frames
-    for i in members:
-        if shapes[i].n_frames != n:
-            raise ShapeMismatch(f"frame counts differ: {shapes[i].n_frames} vs {n}")
-    z = as_complex(np.array([shapes[i].config for i in members]))
+    if isinstance(shapes, np.ndarray):
+        z = shapes[members]
+    else:
+        z = stack_preshapes([shapes[i] for i in members])
 
     z_conj = z.conj()
     phases = np.ones(len(members), dtype=complex)
@@ -122,7 +133,7 @@ def gpa_align(shapes: Sequence[PreShape], members: Sequence[int]) -> GpaResult:
         phases[0] = 1.0
         obj, mean = _objective(phases[:, None] * z)
     return GpaResult(
-        tuple(rotation_from_phase(w) for w in phases),
+        phases,
         np.column_stack((mean.real, mean.imag)),
         obj,
         tuple(history),

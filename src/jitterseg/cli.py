@@ -8,7 +8,7 @@ import sys
 
 from .errors import JittersegError
 from .io import parse_labels, parse_trajectories, serialize_labels, serialize_trajectories
-from .segmenter import SegmenterParams, segment_store
+from .segmenter import SegmenterParams, check_jobs, segment_store
 from .synth import SceneParams, generate_scene, metrics_from_labels
 
 _SEGMENT_DEFAULTS = {
@@ -176,6 +176,7 @@ def _cmd_segment(opts: dict) -> int:
             seed=opts["seed"],
             max_block_len=opts["max_block_len"],
         )
+        check_jobs(opts["jobs"])
     except JittersegError as exc:
         print(f"jitterseg segment: invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClusterCollapse, InvalidAffinity, InvalidParameter, ShapeMismatch
-from .shapes import PreShape, as_complex, unit_phase
+from .errors import ClusterCollapse, InvalidAffinity, InvalidParameter
+from .shapes import PreShape, stack_preshapes, unit_phase
 
 DEFAULT_OMEGA = 0.02
 
@@ -71,7 +71,9 @@ class ClusterAssignment:
         return [i for i, lab in enumerate(self.labels) if lab == cluster]
 
 
-def build_affinity(shapes: Sequence[PreShape], omega: float = DEFAULT_OMEGA) -> AffinityMatrix:
+def build_affinity(
+    shapes: Sequence[PreShape] | np.ndarray, omega: float = DEFAULT_OMEGA
+) -> AffinityMatrix:
     """Pairwise affinity exp(-d_proc(i, j) / omega) between pre-shapes.
 
     In Kendall's complex form every pair's optimal rotation is the unit
@@ -83,24 +85,20 @@ def build_affinity(shapes: Sequence[PreShape], omega: float = DEFAULT_OMEGA) -> 
     affinity visibly below 1. The matrix is exactly symmetric (each pair
     computed once) with unit diagonal.
 
-    Raises ``InvalidParameter`` when ``omega`` is so small that some
-    affinity underflows to 0.
+    ``shapes`` is a (K, N) complex pre-shape stack or a sequence of
+    ``PreShape``. Raises ``InvalidParameter`` when ``omega`` is so small
+    that some affinity underflows to 0.
     """
-    shapes = list(shapes)
     if len(shapes) < 2:
         raise InvalidParameter("need at least 2 shapes")
     if not omega > 0:
         raise InvalidParameter("omega must be > 0")
-    n = shapes[0].n_frames
-    for s in shapes:
-        if s.n_frames != n:
-            raise ShapeMismatch(f"frame counts differ: {s.n_frames} vs {n}")
-    z = as_complex(np.array([s.config for s in shapes]))
-    gram = z @ z.conj().T
-    k = len(shapes)
+    z = stack_preshapes(shapes)
+    phase = unit_phase(z @ z.conj().T)
+    k = len(z)
     dist = np.zeros((k, k))
     for i in range(k - 1):
-        resid = z[i] - unit_phase(gram[i, i + 1 :])[:, None] * z[i + 1 :]
+        resid = z[i] - phase[i, i + 1 :, None] * z[i + 1 :]
         dist[i, i + 1 :] = np.sqrt(np.sum(resid.real**2 + resid.imag**2, axis=1))
     dist = dist + dist.T
     values = np.exp(-dist / omega)

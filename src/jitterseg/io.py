@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,8 +32,23 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_NUMBER_TYPES = {int, float}
+
+
+def _valid_points(pts) -> bool:
+    """True when ``pts`` is a list of >= 2 ``[x, y]`` pairs of numbers.
+
+    ``pts`` comes from ``json.loads``, whose values have exact builtin
+    types, so ``type`` sets decide it in C: ``bool`` (a subclass of
+    ``int``), ``None``, strings, objects and nested lists are rejected.
+    """
+    return (
+        type(pts) is list
+        and len(pts) >= 2
+        and set(map(type, pts)) == {list}
+        and set(map(len, pts)) == {2}
+        and set(map(type, chain.from_iterable(pts))) <= _NUMBER_TYPES
+    )
 
 
 def serialize_trajectories(store: TrajectoryStore, path) -> None:
@@ -89,14 +105,7 @@ def _parse_record(rec: dict, lineno: int, header, seen: set) -> Trajectory:
     if not _is_int(rec["id"]) or not _is_int(rec["start"]):
         raise ParseError("'id' and 'start' must be integers", lineno)
     pts = rec["points"]
-    if (
-        not isinstance(pts, list)
-        or len(pts) < 2
-        or any(
-            not isinstance(p, list) or len(p) != 2 or not all(_is_number(v) for v in p)
-            for p in pts
-        )
-    ):
+    if not _valid_points(pts):
         raise ParseError("'points' must be a list of >= 2 [x, y] pairs", lineno)
     tid, start = rec["id"], rec["start"]
     if tid in seen:
@@ -106,7 +115,13 @@ def _parse_record(rec: dict, lineno: int, header, seen: set) -> Trajectory:
         raise BoundsError(
             f"line {lineno}: trajectory {tid} covers frames outside [0, {frames})"
         )
-    arr = np.array(pts, dtype=float)
+    try:
+        arr = np.fromiter(chain.from_iterable(pts), dtype=float, count=2 * len(pts))
+    except OverflowError:
+        raise ParseError(
+            f"trajectory {tid} has an integer coordinate too large for a float", lineno
+        ) from None
+    arr = arr.reshape(-1, 2)
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"trajectory {tid} has a non-finite coordinate", lineno)
     if (

@@ -22,14 +22,13 @@ import numpy as np
 from .alignment import (
     DEFAULT_JACOBI_ITERS,
     StabilizedMean,
-    back_transform,
+    back_transform,  # noqa: F401  (see below)
     gpa_align,
     stabilize_mean,
 )
 from .clustering import DEFAULT_OMEGA, build_affinity, spectral_cluster
 from .errors import (
     BoundsError,
-    DegenerateTrajectory,
     DuplicateId,
     InvalidParameter,
     NoSharedTrajectories,
@@ -37,11 +36,22 @@ from .errors import (
     TooFewRepresentatives,
 )
 from .shapes import (
+    DEGENERACY_EPS,
     Rotation2D,
     Trajectory,
-    procrustes_distance,
-    project_to_preshape,
+    as_complex,
+    preshape_rows,
+    procrustes_distance,  # noqa: F401  (see below)
+    project_rows,
+    project_to_preshape,  # noqa: F401  (see below)
+    rotation_from_phase,
+    unit_phase,
 )
+
+# back_transform, procrustes_distance and project_to_preshape are no longer
+# called here: the block loop and the straggler labeling work on stacked
+# arrays. They stay importable from this module because the per-layer
+# tracer (bench/tracing.py) looks them up here by name.
 
 # Slack for fraction thresholds so exact ratios (e.g. 10 of 100 at 0.1)
 # are not lost to floating-point representation of the fraction.
@@ -83,6 +93,16 @@ class TrajectoryStore:
     @cached_property
     def by_id(self) -> Mapping[int, Trajectory]:
         return {t.id: t for t in self.trajectories}
+
+    @cached_property
+    def frame_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids, start frames and end frames (one past the last), in id order."""
+        ordered = sorted(self.trajectories, key=lambda t: t.id)
+        return (
+            np.array([t.id for t in ordered], dtype=np.int64),
+            np.array([t.start_frame for t in ordered], dtype=np.int64),
+            np.array([t.end_frame for t in ordered], dtype=np.int64),
+        )
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -162,28 +182,12 @@ class BlockResult:
     rotations: dict[int, Rotation2D] = field(default_factory=dict)
 
 
-def _overlap(traj: Trajectory, start: int, end: int) -> int:
-    return max(0, min(end, traj.end_frame) - max(start, traj.start_frame))
-
-
-def _spans(traj: Trajectory, start: int, end: int) -> bool:
-    return traj.start_frame <= start and traj.end_frame >= end
-
-
-def _spanning_count(store: TrajectoryStore, start: int, end: int) -> int:
-    return sum(1 for t in store.trajectories if _spans(t, start, end))
-
-
 def _make_block(store: TrajectoryStore, start: int, end: int, params: SegmenterParams) -> Block:
-    spanning = []
-    partial = []
-    length = end - start
-    for t in store.trajectories:
-        if _spans(t, start, end):
-            spanning.append(t.id)
-        elif _overlap(t, start, end) / length >= params.span_threshold - _FRACTION_EPS:
-            partial.append(t.id)
-    return Block(start, end, tuple(sorted(spanning)), tuple(sorted(partial)))
+    ids, starts, ends = store.frame_spans
+    spanning = (starts <= start) & (ends >= end)
+    overlap = np.maximum(np.minimum(end, ends) - np.maximum(start, starts), 0)
+    partial = ~spanning & (overlap / (end - start) >= params.span_threshold - _FRACTION_EPS)
+    return Block(start, end, tuple(ids[spanning].tolist()), tuple(ids[partial].tolist()))
 
 
 def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Block]:
@@ -199,22 +203,34 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
     if total == 0:
         raise InvalidParameter("store has no trajectories")
     need = params.min_span_fraction * total - _FRACTION_EPS
+    _, starts, ends = store.frame_spans
     blocks = []
     s = 0
     while s < store.n_frames_total:
         e_min = min(s + params.min_block_len, store.n_frames_total)
         e_max = min(s + params.max_block_len, store.n_frames_total)
-        if _spanning_count(store, s, e_min) < need:
+        # Spanning counts of [s, e) for every candidate end e: the tracks
+        # alive at s whose end is at least e.
+        alive_ends = np.sort(ends[starts <= s])
+        spanning = alive_ends.size - np.searchsorted(alive_ends, np.arange(e_min, e_max + 1))
+        valid = spanning >= need
+        if not valid[0]:
             raise NoValidBlock(
                 f"fewer than {params.min_span_fraction:.0%} of trajectories span "
                 f"the minimum-length block at frame {s}"
             )
-        e = e_min
-        while e < e_max and _spanning_count(store, s, e + 1) >= need:
-            e += 1
+        # The count never grows with e, so the valid ends are a prefix.
+        e = e_min + int(np.count_nonzero(valid)) - 1
         blocks.append(_make_block(store, s, e, params))
         s = e
     return blocks
+
+
+def _windows(store: TrajectoryStore, ids, lo: int, hi: int) -> np.ndarray:
+    """(len(ids), N) complex stack of the trajectories' points over [lo, hi)."""
+    by_id = store.by_id
+    rows = [by_id[tid] for tid in ids]
+    return as_complex(np.array([t.points[lo - t.start_frame : hi - t.start_frame] for t in rows]))
 
 
 def select_representatives(
@@ -223,37 +239,35 @@ def select_representatives(
     """One spanning trajectory per occupied grid cell of the block's first frame.
 
     Within a cell the trajectory whose first-frame position lies nearest
-    the cell center wins; distance ties go to the lowest id. Ids are
-    returned in ascending order.
+    the cell center wins; distance ties go to the lowest id. A trajectory
+    that does not move over the block (centered norm below
+    ``DEGENERACY_EPS``) has no shape and is never chosen; its cell goes to
+    the next-nearest one. Ids are returned in ascending order.
     """
-    width, height = store.frame_size
-    g = params.grid_cells
-    cell_w = width / g
-    cell_h = height / g
-    best: dict[tuple[int, int], tuple[float, int]] = {}
-    for tid in block.spanning_ids:
-        t = store.by_id[tid]
-        x, y = t.points[block.start - t.start_frame]
-        cx = min(int(x // cell_w), g - 1)
-        cy = min(int(y // cell_h), g - 1)
+    ids = np.array(block.spanning_ids, dtype=np.int64)
+    reps: list[int] = []
+    if ids.size:
+        width, height = store.frame_size
+        g = params.grid_cells
+        cell_w = width / g
+        cell_h = height / g
+        z = _windows(store, block.spanning_ids, block.start, block.end)
+        moving = preshape_rows(z)[1] >= DEGENERACY_EPS
+        x, y = z[moving, 0].real, z[moving, 0].imag
+        cx = np.minimum((x // cell_w).astype(np.int64), g - 1)
+        cy = np.minimum((y // cell_h).astype(np.int64), g - 1)
         d2 = (x - (cx + 0.5) * cell_w) ** 2 + (y - (cy + 0.5) * cell_h) ** 2
-        key = (cy, cx)
-        cand = (d2, tid)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    reps = sorted(tid for _, tid in best.values())
+        cell = cy * g + cx
+        order = np.lexsort((ids[moving], d2, cell))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = cell[order][1:] != cell[order][:-1]
+        reps = sorted(ids[moving][order[first]].tolist())
     if len(reps) < params.m + 1:
         raise TooFewRepresentatives(
             f"{len(reps)} representatives in block {block.frame_range}, "
             f"need at least {params.m + 1}"
         )
     return reps
-
-
-def _block_window(traj: Trajectory, block: Block) -> np.ndarray:
-    lo = max(block.start, traj.start_frame)
-    hi = min(block.end, traj.end_frame)
-    return traj.points[lo - traj.start_frame : hi - traj.start_frame]
 
 
 def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams) -> BlockResult:
@@ -263,30 +277,32 @@ def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams)
     spectral clustering, per-cluster alignment, mean stabilization, and
     member reconstruction; afterwards labels every qualifying
     non-representative by its nearest stabilized mean.
+
+    The representatives stay one (K, N) complex pre-shape stack
+    throughout: member k of a cluster is rebuilt as ``conj(w_k) * mean``,
+    undoing its GPA phase ``w_k``, and the whole stack is re-projected
+    onto the pre-shape sphere at once.
     """
     reps = select_representatives(store, block, params)
-    shapes = [project_to_preshape(_block_window(store.by_id[r], block)) for r in reps]
+    z = project_rows(_windows(store, reps, block.start, block.end))
 
-    assignment = None
-    means: list[StabilizedMean] = []
-    rotations: dict[int, Rotation2D] = {}
     for _ in range(params.outer_iters):
-        afy = build_affinity(shapes, params.omega)
+        afy = build_affinity(z, params.omega)
         assignment = spectral_cluster(afy, params.m, params.seed)
-        new_shapes = list(shapes)
+        rebuilt = np.empty_like(z)
+        phases = np.empty(len(reps), dtype=complex)
         means = []
-        rotations = {}
         for c in range(params.m):
             idx = assignment.members(c)
-            gpa = gpa_align(shapes, idx)
+            gpa = gpa_align(z, idx)
             smean = stabilize_mean(gpa.mean, params.lam, params.jacobi_iters)
             means.append(smean)
-            for i, cfg, rot in zip(idx, back_transform(smean, gpa.rotations), gpa.rotations):
-                new_shapes[i] = project_to_preshape(cfg)
-                rotations[reps[i]] = rot
-        shapes = new_shapes
+            phases[idx] = gpa.phases
+            rebuilt[idx] = gpa.phases.conj()[:, None] * as_complex(smean.config)
+        z = project_rows(rebuilt)
 
-    labels = {reps[i]: assignment.labels[i] for i in range(len(reps))}
+    labels = dict(zip(reps, assignment.labels))
+    rotations = {rid: rotation_from_phase(w) for rid, w in zip(reps, phases)}
     partial = BlockResult(block, labels, tuple(means), rotations)
     labels = assign_stragglers(partial, store, block, params)
     return BlockResult(block, labels, tuple(means), rotations)
@@ -305,35 +321,52 @@ def assign_stragglers(
     with both the trajectory and the mean rows cropped to the overlap
     window and re-projected to the pre-shape sphere first. Near-exact
     ties go to the lower cluster index. Trajectories below the coverage
-    threshold (or with a motionless window) stay unlabeled.
+    threshold (or with a motionless window) stay unlabeled, and so do
+    all of them when every cropped mean is motionless.
+
+    Candidates sharing an overlap window ``[lo, hi)`` are labeled
+    together: one matmul gives every <mean, track> inner product, whose
+    unit phase ``u`` rotates the mean onto the track, and the distance is
+    the literal residual ``||t - u m||``.
     """
     labels = dict(result.labels)
-    for t in sorted(store.trajectories, key=lambda tr: tr.id):
-        if t.id in labels:
-            continue
-        lo = max(block.start, t.start_frame)
-        hi = min(block.end, t.end_frame)
-        if hi - lo < 2:
-            continue
-        if (hi - lo) / block.length < params.span_threshold - _FRACTION_EPS:
-            continue
-        try:
-            t_pre = project_to_preshape(t.points[lo - t.start_frame : hi - t.start_frame])
-        except DegenerateTrajectory:
-            continue
-        dists = []
-        for sm in result.means:
-            window = sm.config[lo - block.start : hi - block.start]
-            try:
-                m_pre = project_to_preshape(window)
-            except DegenerateTrajectory:
-                dists.append(np.inf)
-                continue
-            dists.append(procrustes_distance(t_pre, m_pre))
-        d_min = min(dists)
-        if not np.isfinite(d_min):
-            continue
-        labels[t.id] = next(i for i, d in enumerate(dists) if d < d_min + _TIE_EPS)
+    if not result.means:
+        return labels
+    ids, starts, ends = store.frame_spans
+    lo = np.maximum(block.start, starts)
+    hi = np.minimum(block.end, ends)
+    width = hi - lo
+    candidate = (
+        (width >= 2)
+        & (width / block.length >= params.span_threshold - _FRACTION_EPS)
+        & ~np.isin(ids, np.fromiter(labels, dtype=np.int64, count=len(labels)))
+    )
+    ids, lo, hi = ids[candidate], lo[candidate], hi[candidate]
+    means = np.array([as_complex(sm.config) for sm in result.means])
+    n_means = len(means)
+    found = np.full(ids.size, -1)
+    for a, b in sorted(set(zip(lo.tolist(), hi.tolist()))):
+        group = np.flatnonzero((lo == a) & (hi == b))
+        rows = np.concatenate(
+            (
+                means[:, a - block.start : b - block.start],
+                _windows(store, ids[group].tolist(), a, b),
+            )
+        )
+        pre, norms = preshape_rows(rows)
+        cropped, tracks = pre[:n_means], pre[n_means:]
+        u = unit_phase(tracks @ cropped.conj().T)
+        # (track, mean, frame) residuals, summed over their (x, y) parts.
+        resid = (tracks[:, None, :] - u[:, :, None] * cropped[None, :, :]).view(float)
+        dist = np.sqrt(np.einsum("gcn,gcn->gc", resid, resid))
+        dist[:, norms[:n_means] < DEGENERACY_EPS] = np.inf
+        d_min = dist.min(axis=1)
+        nearest = np.argmax(dist < d_min[:, None] + _TIE_EPS, axis=1)
+        usable = (norms[n_means:] >= DEGENERACY_EPS) & np.isfinite(d_min)
+        found[group] = np.where(usable, nearest, -1)
+    for tid, lab in zip(ids.tolist(), found.tolist()):
+        if lab >= 0:
+            labels[tid] = lab
     return labels
 
 
@@ -428,6 +461,12 @@ def fuse_blocks(results: Sequence[BlockResult], store: TrajectoryStore) -> dict[
     return fused
 
 
+def check_jobs(jobs: int) -> None:
+    """Raise InvalidParameter unless ``jobs`` is a usable worker count."""
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
+
+
 def segment_store(
     store: TrajectoryStore, params: SegmenterParams, jobs: int = 1
 ) -> tuple[list[BlockResult], dict[int, int]]:
@@ -435,8 +474,10 @@ def segment_store(
 
     Blocks are independent, so ``jobs > 1`` processes them concurrently;
     results are collected in block order either way, so parallel and
-    serial runs produce identical output.
+    serial runs produce identical output. ``jobs < 1`` raises
+    InvalidParameter.
     """
+    check_jobs(jobs)
     blocks = partition_blocks(store, params)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -101,9 +101,12 @@ class Rotation2D:
         m = _readonly(self.matrix)
         if m.shape != (2, 2):
             raise ValueError("rotation matrix must be 2x2")
-        if np.max(np.abs(m @ m.T - np.eye(2))) > _INVARIANT_TOL:
+        (a, b), (c, d) = m.tolist()
+        # The entries of m @ m.T - I, then the determinant; NaN fails both.
+        gram_off = (a * a + b * b - 1.0, a * c + b * d, c * c + d * d - 1.0)
+        if not all(abs(v) <= _INVARIANT_TOL for v in gram_off):
             raise ValueError("matrix is not orthogonal")
-        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) > _INVARIANT_TOL:
+        if not abs(a * d - b * c - 1.0) <= _INVARIANT_TOL:
             raise ValueError("matrix is not a proper rotation (det != +1)")
         object.__setattr__(self, "matrix", m)
 
@@ -150,8 +153,67 @@ def as_complex(configs: np.ndarray) -> np.ndarray:
     Works on one (N, 2) configuration or a (K, N, 2) stack of them.
     Right-multiplying a configuration by the rotation matrix of
     ``rotation_from_phase(u)`` is multiplying its complex form by ``u``.
+    The (x, y) pairs already lie in memory as complex numbers do, so a
+    C-contiguous float input is reinterpreted, not copied: the result is
+    a view of it.
     """
-    return configs[..., 0] + 1j * configs[..., 1]
+    return np.ascontiguousarray(configs, dtype=float).view(complex)[..., 0]
+
+
+def stack_preshapes(shapes) -> np.ndarray:
+    """The (K, N) complex stack of K pre-shapes.
+
+    ``shapes`` is either such a stack already, returned as it is, or a
+    sequence of ``PreShape`` of one frame count (``ShapeMismatch``
+    otherwise).
+    """
+    if isinstance(shapes, np.ndarray):
+        return shapes
+    n = shapes[0].n_frames
+    for s in shapes:
+        if s.n_frames != n:
+            raise ShapeMismatch(f"frame counts differ: {s.n_frames} vs {n}")
+    return as_complex(np.array([s.config for s in shapes]))
+
+
+def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``project_to_preshape`` applied to every row of a (K, N) complex stack.
+
+    Returns the pre-shapes and the centered norms. A row whose centered
+    norm is below ``DEGENERACY_EPS`` has no shape: it comes back as zeros
+    and the caller decides whether to skip it or raise. The other rows
+    are checked for centering and unit norm as ``PreShape`` checks them.
+    """
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ValueError(f"need a (K, N) stack with N >= 2, got {z.shape}")
+    # Work on the rows' interleaved (x0, y0, x1, y1, ...) float view: the
+    # norm is a plain dot product and the division a real one, as in the
+    # (N, 2) form (a complex division would multiply by 1/norm instead).
+    flat = (z - z.mean(axis=1, keepdims=True)).view(float)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    ok = norms >= DEGENERACY_EPS
+    pre = (flat / np.where(ok, norms, np.inf)[:, None]).view(complex)
+    # The x and y sums of every row, as the parts of one complex sum.
+    if np.abs(pre.sum(axis=1).view(float)).max(initial=0.0) > _INVARIANT_TOL:
+        raise ValueError("config is not centered")
+    unit = np.sqrt(np.einsum("ij,ij->i", pre.view(float), pre.view(float)))
+    if np.abs(unit[ok] - 1.0).max(initial=0.0) > _INVARIANT_TOL:
+        raise ValueError("config does not have unit Frobenius norm")
+    return pre, norms
+
+
+def project_rows(z: np.ndarray) -> np.ndarray:
+    """Pre-shapes of the rows of a (K, N) complex stack.
+
+    Raises DegenerateTrajectory when some row's centered norm falls below
+    ``DEGENERACY_EPS`` (all its points coincide).
+    """
+    pre, norms = preshape_rows(z)
+    if norms.min() < DEGENERACY_EPS:
+        raise DegenerateTrajectory(
+            f"centered norm {norms.min():.3e} below {DEGENERACY_EPS:.0e}"
+        )
+    return pre
 
 
 def unit_phase(h):

@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from jitterseg import PreShape, project_to_preshape
+from jitterseg import (
+    BlockResult,
+    PreShape,
+    back_transform,
+    build_affinity,
+    gpa_align,
+    procrustes_distance,
+    project_to_preshape,
+    select_representatives,
+    spectral_cluster,
+    stabilize_mean,
+)
+from jitterseg.errors import DegenerateTrajectory
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -121,3 +133,90 @@ def oracle_gpa(shapes, members, tol: float = 1e-10, max_sweeps: int = 50):
         rotations[0] = np.eye(2)
         obj, mean = _oracle_objective([c @ r for c, r in zip(configs, rotations)])
     return rotations, mean, obj, tuple(history)
+
+
+def oracle_assign_stragglers(result, store, block, params) -> dict[int, int]:
+    """Straggler labels computed one trajectory at a time.
+
+    The loop ``assign_stragglers`` ran before it batched the candidates by
+    overlap window: per track, project the cropped track and each cropped
+    mean on their own and take ``procrustes_distance`` pair by pair.
+    """
+    labels = dict(result.labels)
+    for t in sorted(store.trajectories, key=lambda tr: tr.id):
+        if t.id in labels:
+            continue
+        lo = max(block.start, t.start_frame)
+        hi = min(block.end, t.end_frame)
+        if hi - lo < 2:
+            continue
+        if (hi - lo) / block.length < params.span_threshold - 1e-9:
+            continue
+        try:
+            t_pre = project_to_preshape(t.points[lo - t.start_frame : hi - t.start_frame])
+        except DegenerateTrajectory:
+            continue
+        dists = []
+        for sm in result.means:
+            try:
+                m_pre = project_to_preshape(sm.config[lo - block.start : hi - block.start])
+            except DegenerateTrajectory:
+                dists.append(np.inf)
+                continue
+            dists.append(procrustes_distance(t_pre, m_pre))
+        d_min = min(dists)
+        if not np.isfinite(d_min):
+            continue
+        labels[t.id] = next(i for i, d in enumerate(dists) if d < d_min + 1e-12)
+    return labels
+
+
+def oracle_segment_block(store, block, params) -> BlockResult:
+    """``segment_block`` with its former per-member loop.
+
+    The representatives are those of ``select_representatives``. Each is
+    its own ``PreShape``; after GPA every member is rebuilt with
+    ``back_transform`` and re-projected one at a time, and stragglers go
+    through ``oracle_assign_stragglers``.
+    """
+    reps = select_representatives(store, block, params)
+    shapes = []
+    for r in reps:
+        t = store.by_id[r]
+        shapes.append(
+            project_to_preshape(t.points[block.start - t.start_frame : block.end - t.start_frame])
+        )
+    for _ in range(params.outer_iters):
+        assignment = spectral_cluster(build_affinity(shapes, params.omega), params.m, params.seed)
+        new_shapes = list(shapes)
+        means = []
+        rotations = {}
+        for c in range(params.m):
+            idx = assignment.members(c)
+            gpa = gpa_align(shapes, idx)
+            smean = stabilize_mean(gpa.mean, params.lam, params.jacobi_iters)
+            means.append(smean)
+            for i, cfg, rot in zip(idx, back_transform(smean, gpa.rotations), gpa.rotations):
+                new_shapes[i] = project_to_preshape(cfg)
+                rotations[reps[i]] = rot
+        shapes = new_shapes
+    labels = {reps[i]: assignment.labels[i] for i in range(len(reps))}
+    partial = BlockResult(block, labels, tuple(means), rotations)
+    labels = oracle_assign_stragglers(partial, store, block, params)
+    return BlockResult(block, labels, tuple(means), rotations)
+
+
+def _oracle_is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def oracle_valid_points(pts) -> bool:
+    """The trajectory parser's former per-value check of a 'points' value."""
+    return not (
+        not isinstance(pts, list)
+        or len(pts) < 2
+        or any(
+            not isinstance(p, list) or len(p) != 2 or not all(_oracle_is_number(v) for v in p)
+            for p in pts
+        )
+    )

@@ -6,10 +6,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterseg import (
     SceneParams,
     SegmenterParams,
+    Trajectory,
+    TrajectoryStore,
     generate_scene,
     parse_labels,
     parse_trajectories,
@@ -18,7 +22,39 @@ from jitterseg import (
     serialize_trajectories,
 )
 from jitterseg.cli import run_cli
-from jitterseg.errors import BoundsError, DuplicateId, ParseError
+from jitterseg.errors import BoundsError, DuplicateId, InvalidParameter, ParseError
+from jitterseg.io import _valid_points
+
+from conftest import oracle_valid_points
+
+# A coordinate that passes the type check but overflows a float.
+HUGE_INT = 10**400
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([HUGE_INT, -HUGE_INT, 2**1023, 0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+_numbers = st.one_of(st.integers(-(10**6), 10**6), st.floats(allow_nan=False), st.just(HUGE_INT))
+# Mostly well-formed pairs, with 1- and 3-element lists and arbitrary
+# JSON values mixed in so both verdicts occur often.
+_pairs = st.one_of(
+    st.lists(_numbers, min_size=2, max_size=2),
+    st.lists(_numbers, min_size=2, max_size=2),
+    st.lists(_numbers, min_size=1, max_size=3),
+    st.lists(_scalars, min_size=2, max_size=2),
+    _json_values,
+)
+_points_values = st.one_of(st.lists(_pairs, max_size=6), _json_values)
 
 
 class TestTrajectoryFile:
@@ -85,6 +121,47 @@ class TestTrajectoryFile:
         with pytest.raises(ParseError) as info:
             parse_trajectories(path)
         assert info.value.line == 3
+
+    def test_huge_integer_coordinate_is_parse_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"frames":3,"width":100,"height":100}\n'
+            '{"id":0,"start":0,"points":[[1,1],[2,1],[3,1]]}\n'
+            '{"id":1,"start":0,"points":[[1,1],[%d,1],[3,1]]}\n' % HUGE_INT
+        )
+        with pytest.raises(ParseError) as info:
+            parse_trajectories(path)
+        assert info.value.line == 3
+        assert "too large" in str(info.value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_points_values)
+    def test_point_check_matches_per_value_check(self, pts):
+        pts = json.loads(json.dumps(pts))  # exactly the types the parser sees
+        assert _valid_points(pts) == oracle_valid_points(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[1, 2], [3, 4]],
+            [[1.5, 2], [3, 4.25], [0, 0]],
+            [[HUGE_INT, 1], [2, 3]],
+            [[1, 2]],
+            [[1, 2], [3]],
+            [[1, 2], [3, 4, 5]],
+            [[1, 2], [True, 4]],
+            [[1, 2], [None, 4]],
+            [[1, 2], ["3", 4]],
+            [[1, 2], [[3], 4]],
+            [[1, 2], "ab"],
+            [[1, 2], {"x": 1, "y": 2}],
+            {"a": [1, 2], "b": [3, 4]},
+            "points",
+            [],
+        ],
+    )
+    def test_point_check_examples(self, pts):
+        assert _valid_points(pts) == oracle_valid_points(pts)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -220,6 +297,62 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "jitterseg segment: parse stage failed: line 2: trajectory 0 has a non-finite coordinate\n"
+
+    def test_huge_integer_input_is_pipeline_error(self, tmp_path, capsys):
+        traj = tmp_path / "t.jsonl"
+        traj.write_text(
+            '{"frames":3,"width":100,"height":100}\n'
+            '{"id":0,"start":0,"points":[[1,1],[%d,1],[3,1]]}\n' % HUGE_INT
+        )
+        code = run_cli(["segment", "--input", str(traj), "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "jitterseg segment: parse stage failed: line 2: "
+            "trajectory 0 has an integer coordinate too large for a float\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        traj, _ = self._synth(tmp_path, 0.0)
+        out = tmp_path / "x"
+        code = run_cli(["segment", "--input", str(traj), "--output", str(out), "--jobs", jobs])
+        assert code == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_below_one_from_config_is_usage_error(self, tmp_path, capsys):
+        traj, _ = self._synth(tmp_path, 0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(traj), "jobs": 0}))
+        out = tmp_path / "x"
+        assert run_cli(["segment", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_segment_store_rejects_jobs_below_one(self, jobs):
+        scene = generate_scene(SceneParams(n_bg=10, n_fg=4, n_frames=12, sigma=0.0, seed=1))
+        with pytest.raises(InvalidParameter):
+            segment_store(scene.store, SegmenterParams(), jobs=jobs)
+
+    def test_motionless_track_stays_unlabeled(self, tmp_path):
+        # The README scene plus one spanning track that never moves, put
+        # at the center of an occupied grid cell so that it would win it.
+        scene = generate_scene(SceneParams(n_bg=60, n_fg=20, n_frames=30, sigma=0.15, seed=7))
+        cell_w, cell_h = 640 / 16, 360 / 16
+        x, y = scene.store.trajectories[0].points[0]
+        center = ((x // cell_w + 0.5) * cell_w, (y // cell_h + 0.5) * cell_h)
+        still = Trajectory(999, 0, np.tile(center, (30, 1)))
+        store = TrajectoryStore(scene.store.trajectories + (still,), 30, (640, 360))
+        traj = tmp_path / "scene.jsonl"
+        serialize_trajectories(store, traj)
+        labels = tmp_path / "labels.jsonl"
+        argv = ["segment", "--input", str(traj), "--output", str(labels), "--seed", "7"]
+        assert run_cli(argv) == 0
+        fused = parse_labels(labels).fused
+        assert 999 not in fused
+        assert set(fused) == set(scene.ground_truth)
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli(["segment", "--nope"]) == 2

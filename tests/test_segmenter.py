@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterseg import (
     BlockResult,
@@ -128,6 +130,49 @@ class TestPartitionBlocks:
             assert not set(block.spanning_ids) & set(block.partial_ids)
 
 
+class TestPartitionProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(5, 80),
+        st.integers(20, 120),
+        st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+        st.integers(2, 15),
+        st.integers(0, 50),
+        st.sampled_from([0.3, 0.7, 1.0]),
+    )
+    def test_matches_exhaustive_oracle(
+        self, seed, n, n_frames, min_span, min_len, extra_len, span_threshold
+    ):
+        store = _staggered_store(np.random.default_rng(seed), n=n, n_frames=n_frames)
+        params = SegmenterParams(
+            min_span_fraction=min_span,
+            min_block_len=min_len,
+            max_block_len=min_len + extra_len,
+            span_threshold=span_threshold,
+        )
+        try:
+            expected = _oracle_partition(store, params)
+        except AssertionError:
+            with pytest.raises(NoValidBlock):
+                partition_blocks(store, params)
+            return
+        blocks = partition_blocks(store, params)
+        assert [b.frame_range for b in blocks] == expected
+        trajs = sorted(store.trajectories, key=lambda t: t.id)
+        for b in blocks:
+            spanning = [t.id for t in trajs if t.start_frame <= b.start and t.end_frame >= b.end]
+            partial = [
+                t.id
+                for t in trajs
+                if t.id not in spanning
+                and max(0, min(b.end, t.end_frame) - max(b.start, t.start_frame)) / b.length
+                >= span_threshold - 1e-9
+            ]
+            assert b.spanning_ids == tuple(spanning)
+            assert b.partial_ids == tuple(partial)
+
+
 class TestSelectRepresentatives:
     def test_one_per_cell_keeps_all(self):
         # Cell size is 40 x 22.5 at 640x360 with a 16-grid.
@@ -171,6 +216,17 @@ class TestSelectRepresentatives:
                 if cands:
                     expected.append(min(cands)[1])
         assert reps == sorted(expected)
+
+    def test_motionless_track_is_never_chosen(self):
+        # Track 0 sits still at the exact center of cell (0, 0); the cell
+        # goes to the next-nearest track, 1.
+        still = Trajectory(0, 0, np.tile([20.0, 11.25], (20, 1)))
+        near = _track(1, 0, 20, x0=25.0, y0=15.0)
+        others = tuple(_track(2 + i, 0, 20, x0=100.0 + 40.0 * i) for i in range(3))
+        store = TrajectoryStore((still, near) + others, 20, FRAME)
+        params = SegmenterParams()
+        block = partition_blocks(store, params)[0]
+        assert select_representatives(store, block, params) == [1, 2, 3, 4]
 
     def test_too_few_representatives(self):
         # Two spanning trajectories in the same cell collapse to one rep.
