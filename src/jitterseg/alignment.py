@@ -30,8 +30,6 @@ GPA_TOL = 1e-10
 GPA_MAX_SWEEPS = 50
 
 DEFAULT_JACOBI_ITERS = 5
-JACOBI_CONVERGENCE_TOL = 1e-10
-_JACOBI_ITER_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -147,21 +145,15 @@ def _jacobi_coefficients(lam: float, n: int) -> tuple[float, float]:
 
 
 def stabilize_mean(
-    mean: np.ndarray,
-    lam: float,
-    iters: int = DEFAULT_JACOBI_ITERS,
-    *,
-    run_to_convergence: bool = False,
+    mean: np.ndarray, lam: float, iters: int = DEFAULT_JACOBI_ITERS
 ) -> StabilizedMean:
-    """Smooth a mean configuration with simultaneous Jacobi sweeps.
+    """Smooth a mean configuration with ``iters`` simultaneous Jacobi sweeps.
 
     Each sweep replaces every row r with
     ``alpha * mean[r] + beta * sum(previous rows except r)`` where
     ``alpha = 1 / (1 + lam - lam/N)`` and ``beta = (lam / N) * alpha``,
     starting from the input mean. ``lam = 0`` gives alpha = 1, beta = 0:
-    the identity. With ``run_to_convergence`` the sweeps continue until
-    successive iterates differ by at most ``JACOBI_CONVERGENCE_TOL``
-    (testing aid; the pipeline always runs exactly ``iters`` sweeps).
+    the identity.
     """
     if lam < 0:
         raise InvalidParameter("lam must be >= 0")
@@ -173,18 +165,10 @@ def stabilize_mean(
     n = mean.shape[0]
     alpha, beta = _jacobi_coefficients(lam, n)
 
-    current = mean.copy()
-    sweeps = 0
-    limit = _JACOBI_ITER_CAP if run_to_convergence else iters
-    while sweeps < limit:
-        row_sum = current.sum(axis=0)
-        nxt = alpha * mean + beta * (row_sum - current)
-        sweeps += 1
-        if run_to_convergence and np.max(np.abs(nxt - current)) <= JACOBI_CONVERGENCE_TOL:
-            current = nxt
-            break
-        current = nxt
-    return StabilizedMean(current, lam, sweeps)
+    current = mean
+    for _ in range(iters):
+        current = alpha * mean + beta * (current.sum(axis=0) - current)
+    return StabilizedMean(current, lam, iters)
 
 
 def back_transform(stab: StabilizedMean, rotations: Sequence[Rotation2D]) -> list[np.ndarray]:

@@ -3,86 +3,197 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 
 from .errors import JittersegError
 from .io import parse_labels, parse_trajectories, serialize_labels, serialize_trajectories
 from .segmenter import SegmenterParams, check_jobs, segment_store
 from .synth import SceneParams, generate_scene, metrics_from_labels
 
-_SEGMENT_DEFAULTS = {
-    "omega": 0.02,
-    "lambda": 0.2,
-    "outer_iters": 3,
-    "jacobi_iters": 5,
-    "span_threshold": 0.7,
-    "min_span_fraction": 0.1,
-    "grid": 16,
-    "max_block_len": 60,
-    "seed": 0,
-    "jobs": 1,
-    "input": None,
-    "output": None,
-}
 
-_SYNTH_DEFAULTS = {
-    "sigma": None,
-    "n_bg": None,
-    "n_fg": None,
-    "frames": None,
-    "seed": 0,
-    "out": None,
-    "gt": None,
-    "width": 640,
-    "height": 360,
-    "camera_speed": 1.0,
-    "object_speed": 2.0,
-}
+class _Option(typing.NamedTuple):
+    """One option of a subcommand: flag ``--key`` (dashes) and config key ``key``."""
 
-_EVAL_DEFAULTS = {"pred": None, "gt": None}
-
-_KEY_TYPES = {
-    "omega": float,
-    "lambda": float,
-    "span_threshold": float,
-    "min_span_fraction": float,
-    "sigma": float,
-    "camera_speed": float,
-    "object_speed": float,
-    "outer_iters": int,
-    "jacobi_iters": int,
-    "grid": int,
-    "max_block_len": int,
-    "seed": int,
-    "jobs": int,
-    "n_bg": int,
-    "n_fg": int,
-    "frames": int,
-    "width": int,
-    "height": int,
-    "input": str,
-    "output": str,
-    "out": str,
-    "gt": str,
-    "pred": str,
-}
+    key: str
+    help: str | None  # None: a params field kept in the params record, with no flag
+    type: type = str
+    default: object = None  # None: the option is required
+    field: str | None = None  # the params field it sets, when not ``key`` itself
+    element: int | None = None  # the element it sets of a tuple-valued field
 
 
-def _coerce(key: str, value, parser: argparse.ArgumentParser):
+def _from_params(cls, *options: _Option) -> tuple[_Option, ...]:
+    """Give every option that sets a field of ``cls`` that field's type and default."""
+    hints = typing.get_type_hints(cls)
+    defaults = {
+        f.name: None if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(cls)
+    }
+    resolved = []
+    for opt in options:
+        name = opt.field or opt.key
+        if name in defaults:
+            kind, default = hints[name], defaults[name]
+            if opt.element is not None:
+                kind = typing.get_args(kind)[opt.element]
+                default = None if default is None else default[opt.element]
+            opt = opt._replace(field=name, type=kind, default=default)
+        resolved.append(opt)
+    return tuple(resolved)
+
+
+# One table per subcommand, in flag order. The params record embedded in
+# the output lists the options that set a params field in the same order.
+_SEGMENT = _from_params(
+    SegmenterParams,
+    _Option("input", "trajectory file to segment"),
+    _Option("output", "label file to write"),
+    _Option("omega", "affinity bandwidth"),
+    _Option("lambda", "stabilization weight; use 0.6 for heavy jitter", field="lam"),
+    _Option("outer_iters", "stabilize-and-cluster rounds"),
+    _Option("jacobi_iters", "smoothing sweeps per round"),
+    _Option("m", None),
+    _Option("span_threshold", "late-label coverage"),
+    _Option("min_span_fraction", "spanning fraction per block"),
+    _Option("grid", "representative grid resolution", field="grid_cells"),
+    _Option("max_block_len", "frame cap per block"),
+    _Option("min_block_len", None),
+    _Option("seed", "clustering seed"),
+    _Option("jobs", "parallel block workers", int, 1),
+)
+_SYNTH = _from_params(
+    SceneParams,
+    _Option("sigma", "jitter level (0.05/0.15/0.25)"),
+    _Option("n_bg", "background trajectory count"),
+    _Option("n_fg", "foreground trajectory count"),
+    _Option("frames", "frame count", field="n_frames"),
+    _Option("width", "frame width", field="frame_size", element=0),
+    _Option("height", "frame height", field="frame_size", element=1),
+    _Option("camera_speed", "px/frame camera drift"),
+    _Option("object_speed", "px/frame object motion"),
+    _Option("seed", "scene seed"),
+    _Option("out", "trajectory file to write"),
+    _Option("gt", "ground-truth label file to write"),
+)
+_EVAL = (_Option("pred", "predicted label file"), _Option("gt", "ground-truth label file"))
+
+
+def _coerce(opt: _Option, value):
     """Bring a config-file value to the type its flag would have."""
-    target = _KEY_TYPES[key]
-    if target is str:
+    if opt.type is str:
         if not isinstance(value, str):
-            parser.error(f"config key '{key}' must be a string")
+            _PARSER.error(f"config key '{opt.key}' must be a string")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        parser.error(f"config key '{key}' must be a number")
-    if target is int:
-        if float(value) != int(value):
-            parser.error(f"config key '{key}' must be an integer")
+        _PARSER.error(f"config key '{opt.key}' must be a number")
+    if opt.type is int:
+        if isinstance(value, float) and not value.is_integer():
+            _PARSER.error(f"config key '{opt.key}' must be an integer")
         return int(value)
+    if abs(value) > sys.float_info.max:
+        _PARSER.error(f"config key '{opt.key}' must be a finite number")
     return float(value)
+
+
+def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
+    """Apply config-file values under the flags, then the defaults."""
+    flags = [opt for opt in options if opt.help is not None]
+    config = {}
+    if args.get("config"):
+        try:
+            with open(args["config"], "r", encoding="utf-8") as f:
+                loaded = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            _PARSER.error(f"cannot read config: {exc}")
+        if not isinstance(loaded, dict):
+            _PARSER.error("config must be a JSON object")
+        config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+        if unknown := set(config) - {opt.key for opt in flags}:
+            _PARSER.error(f"unknown config keys: {sorted(unknown)}")
+    merged = {}
+    for opt in flags:
+        if args.get(opt.key) is not None:
+            merged[opt.key] = args[opt.key]
+        elif opt.key in config:
+            merged[opt.key] = _coerce(opt, config[opt.key])
+        elif opt.default is None:
+            _PARSER.error(f"--{opt.key.replace('_', '-')} is required")
+        else:
+            merged[opt.key] = opt.default
+    return merged
+
+
+def _params(cls, options: tuple[_Option, ...], values: dict):
+    """Build ``cls`` from merged options or a params record, keyed by option key."""
+    kwargs: dict = {}
+    for opt in options:
+        if opt.field is not None and opt.help is not None:
+            value = values[opt.key]
+            if opt.element is not None:  # tuple elements come in order
+                value = (*kwargs.get(opt.field, ()), value)
+            kwargs[opt.field] = value
+    return cls(**kwargs)
+
+
+def _record(command: str, params, options: tuple[_Option, ...]) -> dict:
+    """Every params field under its option key, in table order.
+
+    Paths and worker counts do not shape the output, so they stay out.
+    """
+    record = {"command": command}
+    for opt in options:
+        if opt.field is not None:
+            value = getattr(params, opt.field)
+            record[opt.key] = value if opt.element is None else value[opt.element]
+    return record
+
+
+# Each command is a generator that yields the name of every stage it
+# enters. An error before the first stage is a usage error (exit 2); one
+# inside a stage is a pipeline failure named after that stage (exit 1).
+def _segment(opts: dict):
+    params = _params(SegmenterParams, _SEGMENT, opts)
+    check_jobs(opts["jobs"])
+    yield "parse"
+    store = parse_trajectories(opts["input"])
+    yield "segment"
+    results, fused = segment_store(store, params, jobs=opts["jobs"])
+    yield "write"
+    serialize_labels(opts["output"], fused, results, _record("segment", params, _SEGMENT))
+
+
+def _synth(opts: dict):
+    params = _params(SceneParams, _SYNTH, opts)
+    yield "generate"
+    scene = generate_scene(params)
+    yield "write"
+    serialize_trajectories(scene.store, opts["out"])
+    serialize_labels(opts["gt"], scene.ground_truth, params=_record("synth", params, _SYNTH))
+
+
+def _eval(opts: dict):
+    yield "parse"
+    pred = parse_labels(opts["pred"])
+    truth = parse_labels(opts["gt"])
+    yield "eval"
+    metrics = metrics_from_labels(pred.fused, truth.fused)
+    record = {
+        "accuracy": metrics.accuracy,
+        "confusion": [list(row) for row in metrics.confusion],
+        "n_labeled": metrics.n_labeled,
+        "n_unlabeled": metrics.n_unlabeled,
+    }
+    print(json.dumps(record))
+
+
+_COMMANDS = {
+    "segment": ("run the sparse segmentation pipeline", _SEGMENT, _segment),
+    "synth": ("generate a labeled synthetic jittery scene", _SYNTH, _synth),
+    "eval": ("score predicted labels against ground truth", _EVAL, _eval),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,200 +202,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sparse moving-object segmentation of jittery-video trajectories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seg = sub.add_parser("segment", help="run the sparse segmentation pipeline")
-    seg.add_argument("--input", help="trajectory file to segment")
-    seg.add_argument("--output", help="label file to write")
-    seg.add_argument("--config", help="JSON config with the same keys as the flags")
-    seg.add_argument("--omega", type=float, help="affinity bandwidth (default 0.02)")
-    seg.add_argument(
-        "--lambda",
-        type=float,
-        dest="lambda",
-        help="stabilization weight; 0.2 for low jitter, 0.6 for high (default 0.2)",
-    )
-    seg.add_argument("--outer-iters", type=int, help="stabilize-and-cluster rounds (default 3)")
-    seg.add_argument("--jacobi-iters", type=int, help="smoothing sweeps per round (default 5)")
-    seg.add_argument("--span-threshold", type=float, help="late-label coverage (default 0.7)")
-    seg.add_argument(
-        "--min-span-fraction", type=float, help="spanning fraction per block (default 0.1)"
-    )
-    seg.add_argument("--grid", type=int, help="representative grid resolution (default 16)")
-    seg.add_argument("--max-block-len", type=int, help="frame cap per block (default 60)")
-    seg.add_argument("--seed", type=int, help="clustering seed (default 0)")
-    seg.add_argument("--jobs", type=int, help="parallel block workers (default 1)")
-
-    syn = sub.add_parser("synth", help="generate a labeled synthetic jittery scene")
-    syn.add_argument("--config", help="JSON config with the same keys as the flags")
-    syn.add_argument("--sigma", type=float, help="jitter level (0.05/0.15/0.25)")
-    syn.add_argument("--n-bg", type=int, help="background trajectory count")
-    syn.add_argument("--n-fg", type=int, help="foreground trajectory count")
-    syn.add_argument("--frames", type=int, help="frame count")
-    syn.add_argument("--seed", type=int, help="scene seed (default 0)")
-    syn.add_argument("--out", help="trajectory file to write")
-    syn.add_argument("--gt", help="ground-truth label file to write")
-    syn.add_argument("--width", type=int, help="frame width (default 640)")
-    syn.add_argument("--height", type=int, help="frame height (default 360)")
-    syn.add_argument("--camera-speed", type=float, help="px/frame camera drift (default 1)")
-    syn.add_argument("--object-speed", type=float, help="px/frame object motion (default 2)")
-
-    ev = sub.add_parser("eval", help="score predicted labels against ground truth")
-    ev.add_argument("--config", help="JSON config with the same keys as the flags")
-    ev.add_argument("--pred", help="predicted label file")
-    ev.add_argument("--gt", help="ground-truth label file")
+    for command, (summary, options, _) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        cmd.add_argument("--config", help="JSON config with the same keys as the flags")
+        for opt in (opt for opt in options if opt.help is not None):
+            text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
+            cmd.add_argument("--" + opt.key.replace("_", "-"), type=opt.type, help=text)
     return parser
 
 
-def _merge(args: dict, defaults: dict, parser: argparse.ArgumentParser) -> dict:
-    """Apply config-file values under the flags, then the defaults."""
-    config = {}
-    if args.get("config"):
-        try:
-            with open(args["config"], "r", encoding="utf-8") as f:
-                loaded = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config: {exc}")
-        if not isinstance(loaded, dict):
-            parser.error("config must be a JSON object")
-        config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-        unknown = set(config) - set(defaults)
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-    merged = {}
-    for key, default in defaults.items():
-        if args.get(key) is not None:
-            merged[key] = args[key]
-        elif key in config:
-            merged[key] = _coerce(key, config[key], parser)
-        else:
-            if default is None:
-                parser.error(f"--{key.replace('_', '-')} is required")
-            merged[key] = default
-    return merged
-
-
-def _cmd_segment(opts: dict) -> int:
-    try:
-        params = SegmenterParams(
-            omega=opts["omega"],
-            lam=opts["lambda"],
-            outer_iters=opts["outer_iters"],
-            jacobi_iters=opts["jacobi_iters"],
-            span_threshold=opts["span_threshold"],
-            min_span_fraction=opts["min_span_fraction"],
-            grid_cells=opts["grid"],
-            seed=opts["seed"],
-            max_block_len=opts["max_block_len"],
-        )
-        check_jobs(opts["jobs"])
-    except JittersegError as exc:
-        print(f"jitterseg segment: invalid parameters: {exc}", file=sys.stderr)
-        return 2
-    stage = "parse"
-    try:
-        store = parse_trajectories(opts["input"])
-        stage = "segment"
-        results, fused = segment_store(store, params, jobs=opts["jobs"])
-        stage = "write"
-        # The embedded record holds every parameter that shapes the output;
-        # file paths and worker counts do not, so reruns (serial or
-        # parallel) stay byte-identical.
-        effective = {
-            "command": "segment",
-            "omega": params.omega,
-            "lambda": params.lam,
-            "outer_iters": params.outer_iters,
-            "jacobi_iters": params.jacobi_iters,
-            "m": params.m,
-            "span_threshold": params.span_threshold,
-            "min_span_fraction": params.min_span_fraction,
-            "grid": params.grid_cells,
-            "max_block_len": params.max_block_len,
-            "min_block_len": params.min_block_len,
-            "seed": params.seed,
-        }
-        serialize_labels(opts["output"], fused, results, effective)
-    except (JittersegError, OSError) as exc:
-        print(f"jitterseg segment: {stage} stage failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_synth(opts: dict) -> int:
-    try:
-        params = SceneParams(
-            n_bg=opts["n_bg"],
-            n_fg=opts["n_fg"],
-            n_frames=opts["frames"],
-            sigma=opts["sigma"],
-            frame_size=(opts["width"], opts["height"]),
-            camera_speed=opts["camera_speed"],
-            object_speed=opts["object_speed"],
-            seed=opts["seed"],
-        )
-    except JittersegError as exc:
-        print(f"jitterseg synth: invalid parameters: {exc}", file=sys.stderr)
-        return 2
-    stage = "generate"
-    try:
-        scene = generate_scene(params)
-        stage = "write"
-        serialize_trajectories(scene.store, opts["out"])
-        effective = {
-            "command": "synth",
-            "sigma": params.sigma,
-            "n_bg": params.n_bg,
-            "n_fg": params.n_fg,
-            "frames": params.n_frames,
-            "width": params.frame_size[0],
-            "height": params.frame_size[1],
-            "camera_speed": params.camera_speed,
-            "object_speed": params.object_speed,
-            "seed": params.seed,
-        }
-        serialize_labels(opts["gt"], scene.ground_truth, params=effective)
-    except (JittersegError, OSError) as exc:
-        print(f"jitterseg synth: {stage} stage failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_eval(opts: dict) -> int:
-    stage = "parse"
-    try:
-        pred = parse_labels(opts["pred"])
-        truth = parse_labels(opts["gt"])
-        stage = "eval"
-        metrics = metrics_from_labels(pred.fused, truth.fused)
-    except (JittersegError, OSError) as exc:
-        print(f"jitterseg eval: {stage} stage failed: {exc}", file=sys.stderr)
-        return 1
-    record = {
-        "accuracy": metrics.accuracy,
-        "confusion": [list(row) for row in metrics.confusion],
-        "n_labeled": metrics.n_labeled,
-        "n_unlabeled": metrics.n_unlabeled,
-    }
-    print(json.dumps(record))
-    return 0
+_PARSER = _build_parser()
 
 
 def run_cli(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = vars(parser.parse_args(argv))
-    except SystemExit as exc:
+        args = vars(_PARSER.parse_args(argv))
+        command = args["command"]
+        _, options, run = _COMMANDS[command]
+        opts = _merge(args, options)
+    except SystemExit as exc:  # usage errors, --help
         return exc.code if isinstance(exc.code, int) else 2
-    command = args["command"]
+    stage = None
     try:
-        if command == "segment":
-            return _cmd_segment(_merge(args, _SEGMENT_DEFAULTS, parser))
-        if command == "synth":
-            return _cmd_synth(_merge(args, _SYNTH_DEFAULTS, parser))
-        return _cmd_eval(_merge(args, _EVAL_DEFAULTS, parser))
-    except SystemExit as exc:  # parser.error during config merge
-        return exc.code if isinstance(exc.code, int) else 2
+        for stage in run(opts):
+            pass
+    except (JittersegError, OSError) as exc:
+        if stage is None:
+            print(f"jitterseg {command}: invalid parameters: {exc}", file=sys.stderr)
+            return 2
+        print(f"jitterseg {command}: {stage} stage failed: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main() -> None:

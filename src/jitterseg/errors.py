@@ -68,5 +68,13 @@ class NoSharedTrajectories(Warning):
     """
 
 
+class BlockSkipped(Warning):
+    """A block could not be segmented and is left unlabeled.
+
+    The other blocks keep their labels; the skipped block's record in the
+    label file is empty.
+    """
+
+
 class DegenerateScene(Warning):
     """A synthetic scene configuration produces motionless trajectories."""

@@ -11,6 +11,7 @@ are finally reconciled into one foreground/background labeling.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from .alignment import (
 )
 from .clustering import DEFAULT_OMEGA, build_affinity, spectral_cluster
 from .errors import (
+    BlockSkipped,
     BoundsError,
     DuplicateId,
     InvalidParameter,
@@ -138,15 +140,17 @@ class SegmenterParams:
 
     Defaults: affinity bandwidth 0.02, smoothing weight 0.2 (use 0.6 for
     heavily shaken footage), 3 outer iterations, 5 smoothing sweeps,
-    2 clusters, 70% coverage threshold for late labeling, 10% minimum
-    spanning fraction per block, a 16x16 representative grid.
+    70% coverage threshold for late labeling, 10% minimum spanning
+    fraction per block, a 16x16 representative grid. The pipeline
+    segments one moving object, so there are always ``m = 2`` clusters.
+    Every float must be finite (``InvalidParameter`` otherwise).
     """
 
     omega: float = DEFAULT_OMEGA
     lam: float = 0.2
     outer_iters: int = 3
     jacobi_iters: int = DEFAULT_JACOBI_ITERS
-    m: int = 2
+    m: int = field(default=2, init=False)
     span_threshold: float = 0.7
     min_span_fraction: float = 0.1
     grid_cells: int = 16
@@ -162,14 +166,15 @@ class SegmenterParams:
         for name in ("outer_iters", "jacobi_iters", "grid_cells", "min_block_len"):
             if getattr(self, name) < 1:
                 raise InvalidParameter(f"{name} must be >= 1")
-        if self.m < 2:
-            raise InvalidParameter("m must be >= 2")
         for name in ("span_threshold", "min_span_fraction"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise InvalidParameter(f"{name} must be in (0, 1]")
         if self.max_block_len < self.min_block_len:
             raise InvalidParameter("max_block_len must be >= min_block_len")
+        for name in ("omega", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -242,11 +247,12 @@ def select_representatives(
     the cell center wins; distance ties go to the lowest id. A trajectory
     that does not move over the block (centered norm below
     ``DEGENERACY_EPS``) has no shape and is never chosen; its cell goes to
-    the next-nearest one. Ids are returned in ascending order.
+    the next-nearest one, and a one-frame block has no representatives.
+    Ids are returned in ascending order.
     """
     ids = np.array(block.spanning_ids, dtype=np.int64)
     reps: list[int] = []
-    if ids.size:
+    if ids.size and block.length >= 2:
         width, height = store.frame_size
         g = params.grid_cells
         cell_w = width / g
@@ -476,12 +482,32 @@ def segment_store(
     results are collected in block order either way, so parallel and
     serial runs produce identical output. ``jobs < 1`` raises
     InvalidParameter.
+
+    A block with too few representatives is left unlabeled (an empty
+    ``BlockResult``) with a ``BlockSkipped`` warning naming its frame
+    range; when every block fails, the first block's
+    ``TooFewRepresentatives`` is raised.
     """
     check_jobs(jobs)
     blocks = partition_blocks(store, params)
+
+    def run(block: Block) -> BlockResult | TooFewRepresentatives:
+        try:
+            return segment_block(store, block, params)
+        except TooFewRepresentatives as exc:
+            return exc
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda blk: segment_block(store, blk, params), blocks))
+            outcomes = list(pool.map(run, blocks))
     else:
-        results = [segment_block(store, b, params) for b in blocks]
+        outcomes = [run(b) for b in blocks]
+    if all(isinstance(o, TooFewRepresentatives) for o in outcomes):
+        raise outcomes[0]
+    results = []
+    for block, outcome in zip(blocks, outcomes):
+        if isinstance(outcome, TooFewRepresentatives):
+            warnings.warn(BlockSkipped(f"block {block.frame_range} left unlabeled: {outcome}"))
+            outcome = BlockResult(block, {}, ())
+        results.append(outcome)
     return results, fuse_blocks(results, store)

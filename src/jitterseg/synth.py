@@ -10,6 +10,7 @@ Everything is a deterministic function of the scene seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ _JITTER_STREAM = 1
 
 @dataclass(frozen=True)
 class SceneParams:
-    """Recipe for one synthetic scene."""
+    """Recipe for one synthetic scene; every float must be finite."""
 
     n_bg: int
     n_fg: int
@@ -63,6 +64,9 @@ class SceneParams:
             raise InvalidParameter("frame_size must be positive")
         if self.camera_speed < 0 or self.object_speed < 0:
             raise InvalidParameter("speeds must be >= 0")
+        for name in ("sigma", "camera_speed", "object_speed"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

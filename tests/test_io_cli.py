@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +23,14 @@ from jitterseg import (
     serialize_labels,
     serialize_trajectories,
 )
-from jitterseg.cli import run_cli
-from jitterseg.errors import BoundsError, DuplicateId, InvalidParameter, ParseError
+from jitterseg.cli import _SEGMENT, _SYNTH, _params, run_cli
+from jitterseg.errors import (
+    BlockSkipped,
+    BoundsError,
+    DuplicateId,
+    InvalidParameter,
+    ParseError,
+)
 from jitterseg.io import _valid_points
 
 from conftest import oracle_valid_points
@@ -276,6 +284,59 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--omega", "inf", "omega must be finite"),
+            ("--lambda", "inf", "lam must be finite"),
+        ],
+    )
+    def test_non_finite_segment_parameter_is_usage_error(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        traj, _ = self._synth(tmp_path, 0.0)
+        out = tmp_path / "x"
+        code = run_cli(["segment", "--input", str(traj), "--output", str(out), flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"jitterseg segment: invalid parameters: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--camera-speed", "nan"),
+            ("--camera-speed", "inf"),
+            ("--object-speed", "inf"),
+            ("--sigma", "nan"),
+            ("--sigma", "inf"),
+        ],
+    )
+    def test_non_finite_synth_parameter_is_usage_error(self, tmp_path, capsys, flag, value):
+        capsys.readouterr()
+        out, gt = tmp_path / "t.jsonl", tmp_path / "gt.jsonl"
+        base = ["synth", "--sigma", "0.1", "--n-bg", "6", "--n-fg", "3", "--frames", "10"]
+        code = run_cli([*base, "--out", str(out), "--gt", str(gt), flag, value])
+        assert code == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"jitterseg synth: invalid parameters: {name} must be finite\n"
+        )
+        assert not out.exists() and not gt.exists()
+
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            *[("grid", text, "an integer") for text in ("NaN", "Infinity", "-Infinity", "2.5")],
+            ("omega", "Infinity", "a finite number"),
+            ("omega", str(-HUGE_INT), "a finite number"),
+        ],
+    )
+    def test_bad_config_number_is_usage_error(self, tmp_path, capsys, key, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"%s": %s}' % (key, text))
+        assert run_cli(["segment", "--config", str(cfg), "--input", "x", "--output", "y"]) == 2
+        assert f"config key '{key}' must be {message}" in capsys.readouterr().err
+
     def test_omega_underflow_is_pipeline_error(self, tmp_path, capsys):
         traj, _ = self._synth(tmp_path, 0.15)
         out = tmp_path / "x"
@@ -457,3 +518,180 @@ class TestCli:
         pred.write_text('{"type":"fused","labels":{"5":1},"foreground_cluster":1}\n')
         assert run_cli(["eval", "--pred", str(pred), "--gt", str(gt)]) == 1
         assert "eval" in capsys.readouterr().err
+
+
+class TestSkippedBlock:
+    """A block with too few representatives loses only its own labels."""
+
+    def _store(self):
+        # Block [0, 30) is an ordinary scene; the five tracks spanning block
+        # [30, 60) start in two neighbouring grid cells, so that block has
+        # 2 representatives.
+        scene = generate_scene(SceneParams(n_bg=30, n_fg=10, n_frames=30, sigma=0.0, seed=2))
+        f = np.arange(30, dtype=float)[:, None]
+        huddle = tuple(
+            Trajectory(100 + i, 30, [300.0 + i, 200.0 + i] + f * [1.0 + 0.3 * i, 0.2 * i - 0.5])
+            for i in range(5)
+        )
+        return TrajectoryStore(scene.store.trajectories + huddle, 60, (640, 360)), scene
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_block_is_left_unlabeled(self, tmp_path, jobs):
+        store, scene = self._store()
+        traj, labels = tmp_path / "t.jsonl", tmp_path / "labels.jsonl"
+        serialize_trajectories(store, traj)
+        argv = ["segment", "--input", str(traj), "--output", str(labels), "--jobs", jobs]
+        skipped = r"block \(30, 60\) left unlabeled: 2 representatives"
+        with pytest.warns(BlockSkipped, match=skipped):
+            assert run_cli(argv) == 0
+        data = parse_labels(labels)
+        assert [rng for rng, _ in data.blocks] == [(0, 30), (30, 60)]
+        assert data.blocks[1][1] == {}
+        assert set(data.blocks[0][1]) == set(data.fused) == set(scene.ground_truth)
+
+    def test_one_frame_trailing_block_is_left_unlabeled(self, tmp_path):
+        traj, labels = tmp_path / "t.jsonl", tmp_path / "labels.jsonl"
+        scene = generate_scene(SceneParams(n_bg=60, n_fg=20, n_frames=30, sigma=0.15, seed=7))
+        serialize_trajectories(scene.store, traj)
+        argv = ["segment", "--input", str(traj), "--output", str(labels), "--max-block-len", "29"]
+        skipped = r"block \(29, 30\) left unlabeled: 0 representatives"
+        with pytest.warns(BlockSkipped, match=skipped):
+            assert run_cli(argv) == 0
+        data = parse_labels(labels)
+        assert data.blocks[1] == ((29, 30), {})
+        assert set(data.fused) == set(scene.ground_truth)
+
+    def test_every_block_failing_is_pipeline_error(self, tmp_path, capsys):
+        scene = generate_scene(SceneParams(n_bg=60, n_fg=20, n_frames=30, sigma=0.15, seed=7))
+        traj, out = tmp_path / "t.jsonl", tmp_path / "x"
+        serialize_trajectories(scene.store, traj)
+        assert run_cli(["segment", "--input", str(traj), "--output", str(out), "--grid", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "jitterseg segment: segment stage failed: "
+            "1 representatives in block (0, 30), need at least 3\n"
+        )
+        assert not out.exists()
+
+
+# Flag (dashes) -> params field, for every flag that sets a params field.
+_SEGMENT_FIELDS = {
+    "omega": "omega",
+    "lambda": "lam",
+    "outer-iters": "outer_iters",
+    "jacobi-iters": "jacobi_iters",
+    "span-threshold": "span_threshold",
+    "min-span-fraction": "min_span_fraction",
+    "grid": "grid_cells",
+    "max-block-len": "max_block_len",
+    "seed": "seed",
+}
+_SYNTH_FIELDS = {
+    "sigma": "sigma",
+    "n-bg": "n_bg",
+    "n-fg": "n_fg",
+    "frames": "n_frames",
+    "camera-speed": "camera_speed",
+    "object-speed": "object_speed",
+    "seed": "seed",
+}
+
+_segment_values = st.fixed_dictionaries(
+    {
+        "omega": st.floats(0.01, 0.1),
+        "lambda": st.floats(0.0, 1.0),
+        "outer-iters": st.integers(1, 3),
+        "jacobi-iters": st.integers(1, 8),
+        "span-threshold": st.floats(0.3, 1.0),
+        "min-span-fraction": st.floats(0.05, 0.5),
+        "grid": st.integers(4, 16),
+        "max-block-len": st.integers(10, 60),
+        "seed": st.integers(0, 1000),
+    }
+)
+_synth_values = st.fixed_dictionaries(
+    {
+        "sigma": st.floats(0.0, 0.25),
+        "n-bg": st.integers(3, 30),
+        "n-fg": st.integers(3, 10),
+        "frames": st.integers(20, 30),
+        "width": st.integers(400, 800),
+        "height": st.integers(300, 500),
+        "camera-speed": st.floats(0.0, 1.0),
+        "object-speed": st.floats(0.5, 2.0),
+        "seed": st.integers(0, 1000),
+    }
+)
+
+
+def _flags(values: dict) -> list[str]:
+    return [arg for key, value in values.items() for arg in (f"--{key}", str(value))]
+
+
+@pytest.fixture(scope="module")
+def scene_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scene") / "scene.jsonl"
+    scene = generate_scene(SceneParams(n_bg=30, n_fg=10, n_frames=30, sigma=0.1, seed=5))
+    serialize_trajectories(scene.store, path)
+    return path
+
+
+class TestParamsAgree:
+    """Flags, config files, the params record and --help all agree."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(values=_segment_values)
+    def test_segment_flags_config_and_record(self, scene_file, tmp_path_factory, values):
+        tmp = tmp_path_factory.mktemp("segment")
+        by_flags, by_config, cfg = tmp / "flags.jsonl", tmp / "config.jsonl", tmp / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        base = ["segment", "--input", str(scene_file)]
+        assert run_cli([*base, "--output", str(by_flags), *_flags(values)]) == 0
+        assert run_cli([*base, "--output", str(by_config), "--config", str(cfg)]) == 0
+        assert by_flags.read_bytes() == by_config.read_bytes()
+        record = parse_labels(by_flags).params
+        expected = SegmenterParams(**{_SEGMENT_FIELDS[k]: v for k, v in values.items()})
+        assert _params(SegmenterParams, _SEGMENT, record) == expected
+        assert len(record) == 1 + len(dataclasses.fields(SegmenterParams))
+        assert {k: record[k] for k in ("m", "min_block_len")} == {"m": 2, "min_block_len": 10}
+
+    @settings(max_examples=6, deadline=None)
+    @given(values=_synth_values)
+    def test_synth_flags_config_and_record(self, tmp_path_factory, values):
+        tmp = tmp_path_factory.mktemp("synth")
+        outputs = {}
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        for how, extra in (("flags", _flags(values)), ("config", ["--config", str(cfg)])):
+            out, gt = tmp / f"{how}.jsonl", tmp / f"{how}_gt.jsonl"
+            assert run_cli(["synth", "--out", str(out), "--gt", str(gt), *extra]) == 0
+            outputs[how] = (out.read_bytes(), gt.read_bytes())
+        assert outputs["flags"] == outputs["config"]
+        record = parse_labels(tmp / "flags_gt.jsonl").params
+        expected = SceneParams(
+            frame_size=(values["width"], values["height"]),
+            **{_SYNTH_FIELDS[k]: v for k, v in values.items() if k in _SYNTH_FIELDS},
+        )
+        assert _params(SceneParams, _SYNTH, record) == expected
+        assert len(record) == 1 + len(values)
+
+    @pytest.mark.parametrize(
+        "command, cls, flags",
+        [
+            ("segment", SegmenterParams, _SEGMENT_FIELDS),
+            ("synth", SceneParams, {"width": None, "height": None, **_SYNTH_FIELDS}),
+        ],
+    )
+    def test_help_shows_dataclass_defaults(self, capsys, command, cls, flags):
+        assert run_cli([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        defaults["width"], defaults["height"] = defaults.get("frame_size", (None, None))
+        for flag, name in flags.items():
+            default = defaults[name or flag]
+            # The flag's own help text: no other flag and no parenthesis
+            # before "(default".
+            shown = re.search(rf"--{flag} [A-Z_]+ (?:(?!--)[^()])*\(default ([^)]*)\)", text)
+            if default is dataclasses.MISSING:
+                assert shown is None, flag
+            else:
+                assert shown is not None and shown.group(1) == str(default), flag
