@@ -17,8 +17,32 @@ class InvalidParameter(JittersegError):
     """A parameter is outside its documented domain."""
 
 
+# The value types raise these from their constructors. Each is also a
+# ValueError, so code that catches ValueError keeps working.
+
+
 class InvalidAffinity(JittersegError, ValueError):
     """An affinity matrix is not square, symmetric, unit-diagonal and in (0, 1]."""
+
+
+class InvalidTrajectory(JittersegError, ValueError):
+    """Trajectory points are not an (N, 2) array with N >= 2, or start before frame 0."""
+
+
+class InvalidPreShape(JittersegError, ValueError):
+    """A configuration is not an (N, 2) array with N >= 2, centered and of unit norm."""
+
+
+class InvalidRotation(JittersegError, ValueError):
+    """A matrix is not a 2x2 proper rotation."""
+
+
+class InvalidBlock(JittersegError, ValueError):
+    """A block's frame range is empty or its spanning and partial ids overlap."""
+
+
+class InvalidAssignment(JittersegError, ValueError):
+    """Cluster labels fall outside {0..m-1} or leave some cluster empty."""
 
 
 class ClusterCollapse(JittersegError):

@@ -13,14 +13,15 @@ a final ``fused`` record with the global labels (foreground = 1).
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DuplicateId, ParseError
-from .segmenter import BlockResult, TrajectoryStore
+from .errors import BoundsError, DuplicateId, JittersegError, ParseError
+from .segmenter import MAX_INT_PARAM, BlockResult, TrajectoryStore
 from .shapes import Trajectory
 
 
@@ -63,29 +64,56 @@ def serialize_trajectories(store: TrajectoryStore, path) -> None:
 
 
 def parse_trajectories(path) -> TrajectoryStore:
-    """Read a trajectory file, validating structure and bounds per record."""
+    """Read a trajectory file into a store.
+
+    Records are read one line at a time. Their structure (JSON, keys,
+    integer types, point lists), ids and frame ranges are checked as they
+    are read, and their points are appended to one float64 buffer; the
+    JSON objects are dropped at once. Finiteness and the frame bounds are
+    checked once over the whole buffer. Whichever check fails, the error
+    is raised for the first faulty record in file order, with its line
+    number. The trajectories are read-only row views of the buffer.
+    """
     header = None
-    trajectories = []
-    seen = set()
+    coords = array("d")
+    tracks: list[tuple[int, int, int]] = []  # (line, id, start) per trajectory
+    bounds = [0]  # track i owns buffer rows bounds[i]:bounds[i + 1]
+    seen: set[int] = set()
+    fault = None
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(rec, dict):
-                raise ParseError("record is not an object", lineno)
-            if header is None:
-                header = _parse_header(rec, lineno)
-                continue
-            trajectories.append(_parse_record(rec, lineno, header, seen))
+        try:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
+                except RecursionError:
+                    raise ParseError("invalid JSON (nested too deeply)", lineno) from None
+                if not isinstance(rec, dict):
+                    raise ParseError("record is not an object", lineno)
+                if header is None:
+                    header = _parse_header(rec, lineno)
+                    continue
+                tracks.append(_parse_record(rec, lineno, header, seen, coords))
+                bounds.append(len(coords) // 2)
+        except JittersegError as exc:
+            fault = exc
     if header is None:
-        raise ParseError("missing header record", 1)
+        raise fault or ParseError("missing header record", 1)
     frames, width, height = header
-    return TrajectoryStore(tuple(trajectories), frames, (width, height))
+    # Rows past the last complete record belong to a record that failed.
+    rows = np.frombuffer(coords, dtype=float)[: 2 * bounds[-1]].reshape(-1, 2)
+    rows.flags.writeable = False
+    _check_rows(rows, tracks, bounds, width, height)
+    if fault is not None:
+        raise fault
+    ids = [tid for _, tid, _ in tracks]
+    starts = [start for _, _, start in tracks]
+    trajectories = Trajectory.from_rows(ids, starts, rows, bounds)
+    return TrajectoryStore(trajectories, frames, (width, height))
 
 
 def _parse_header(rec: dict, lineno: int) -> tuple[int, int, int]:
@@ -94,11 +122,18 @@ def _parse_header(rec: dict, lineno: int) -> tuple[int, int, int]:
             raise ParseError(f"header missing '{key}'", lineno)
         if not _is_int(rec[key]) or rec[key] <= 0:
             raise ParseError(f"header '{key}' must be a positive integer", lineno)
+        if rec[key] > MAX_INT_PARAM:
+            raise ParseError(f"header '{key}' must be <= {MAX_INT_PARAM}", lineno)
     return rec["frames"], rec["width"], rec["height"]
 
 
-def _parse_record(rec: dict, lineno: int, header, seen: set) -> Trajectory:
-    frames, width, height = header
+def _parse_record(rec: dict, lineno: int, header, seen: set, coords: array):
+    """Check one trajectory record and append its points to ``coords``.
+
+    Returns (line, id, start). Finiteness and frame bounds of the points
+    are left to ``_check_rows``.
+    """
+    frames = header[0]
     for key in ("id", "start", "points"):
         if key not in rec:
             raise ParseError(f"record missing '{key}'", lineno)
@@ -116,22 +151,30 @@ def _parse_record(rec: dict, lineno: int, header, seen: set) -> Trajectory:
             f"line {lineno}: trajectory {tid} covers frames outside [0, {frames})"
         )
     try:
-        arr = np.fromiter(chain.from_iterable(pts), dtype=float, count=2 * len(pts))
+        coords.extend(chain.from_iterable(pts))
     except OverflowError:
         raise ParseError(
             f"trajectory {tid} has an integer coordinate too large for a float", lineno
         ) from None
-    arr = arr.reshape(-1, 2)
-    if not np.all(np.isfinite(arr)):
+    return lineno, tid, start
+
+
+def _check_rows(rows: np.ndarray, tracks, bounds, width: int, height: int) -> None:
+    """Raise for the first track with a non-finite or out-of-frame point.
+
+    One pass over all rows: a NaN or infinite coordinate also fails the
+    frame test, and within the first failing track a non-finite
+    coordinate is reported before an out-of-frame one.
+    """
+    x, y = rows[:, 0], rows[:, 1]
+    inside = (x >= 0) & (x <= width) & (y >= 0) & (y <= height)
+    if inside.all():
+        return
+    i = int(np.searchsorted(bounds, np.argmin(inside), side="right")) - 1
+    lineno, tid, _ = tracks[i]
+    if not np.isfinite(rows[bounds[i] : bounds[i + 1]]).all():
         raise ParseError(f"trajectory {tid} has a non-finite coordinate", lineno)
-    if (
-        arr[:, 0].min() < 0
-        or arr[:, 0].max() > width
-        or arr[:, 1].min() < 0
-        or arr[:, 1].max() > height
-    ):
-        raise BoundsError(f"line {lineno}: trajectory {tid} leaves the frame bounds")
-    return Trajectory(tid, start, arr)
+    raise BoundsError(f"line {lineno}: trajectory {tid} leaves the frame bounds")
 
 
 @dataclass(frozen=True)

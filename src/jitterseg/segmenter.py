@@ -32,6 +32,7 @@ from .errors import (
     BlockSkipped,
     BoundsError,
     DuplicateId,
+    InvalidBlock,
     InvalidParameter,
     NoSharedTrajectories,
     NoValidBlock,
@@ -62,35 +63,94 @@ _FRACTION_EPS = 1e-9
 # Distance ties this close are resolved to the lower cluster index.
 _TIE_EPS = 1e-12
 
+# Points per group in TrajectoryStore's bounds check (64 KiB of float pairs).
+_CHECK_ROWS = 4096
+
+# Upper bound of every count and size parameter and of ``jobs``. Larger
+# values overflow numpy's integer and array-size arithmetic (a grid cell
+# index is cy * g + cx) before they could mean anything. Seeds are only
+# bounded below: numpy takes non-negative seeds of any size.
+MAX_INT_PARAM = 2**31 - 1
+
+
+def check_at_most(name: str, value: int) -> None:
+    """Raise InvalidParameter when ``value`` exceeds ``MAX_INT_PARAM``."""
+    if value > MAX_INT_PARAM:
+        raise InvalidParameter(f"{name} must be <= {MAX_INT_PARAM}")
+
 
 @dataclass(frozen=True)
 class TrajectoryStore:
-    """All trajectories of a sequence plus its frame count and pixel size."""
+    """All trajectories of a sequence plus its frame count and pixel size.
+
+    Ids must be distinct, every track must end by ``n_frames_total`` and
+    every point must lie in ``[0, width] x [0, height]``. These checks are
+    vectorized over all tracks, with no numpy call per track, and the
+    first offending track in order is reported (``DuplicateId`` or
+    ``BoundsError``).
+    """
 
     trajectories: tuple[Trajectory, ...]
     n_frames_total: int
     frame_size: tuple[int, int]
+    # Ids, start frames and end frames in store order.
+    _spans: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        trajs = tuple(self.trajectories)
+        object.__setattr__(self, "trajectories", trajs)
         object.__setattr__(self, "frame_size", tuple(self.frame_size))
         width, height = self.frame_size
         if width <= 0 or height <= 0:
             raise InvalidParameter("frame_size must be positive")
         if self.n_frames_total < 2:
             raise InvalidParameter("n_frames_total must be >= 2")
-        seen = set()
-        for t in self.trajectories:
-            if t.id in seen:
-                raise DuplicateId(f"trajectory id {t.id} appears twice")
-            seen.add(t.id)
-            if t.end_frame > self.n_frames_total:
-                raise BoundsError(
-                    f"trajectory {t.id} extends past frame {self.n_frames_total - 1}"
-                )
-            x, y = t.points[:, 0], t.points[:, 1]
-            if x.min() < 0 or x.max() > width or y.min() < 0 or y.max() > height:
-                raise BoundsError(f"trajectory {t.id} leaves the frame bounds")
+        try:
+            spans = np.array(
+                [(t.id, t.start_frame, t.end_frame) for t in trajs], dtype=np.int64
+            ).reshape(-1, 3)
+        except OverflowError:
+            raise BoundsError("trajectory ids and frames must fit in 64-bit integers") from None
+        ids, _, ends = spans.T
+        object.__setattr__(self, "_spans", tuple(spans.T))
+        if not trajs:
+            return
+        order = np.argsort(ids, kind="stable")
+        repeat = np.zeros(len(trajs), dtype=bool)
+        repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        past_end = ends > self.n_frames_total
+        bad = repeat | past_end | self._leaving_frame()
+        if bad.any():
+            i = int(np.argmax(bad))
+            tid = trajs[i].id
+            if repeat[i]:
+                raise DuplicateId(f"trajectory id {tid} appears twice")
+            if past_end[i]:
+                raise BoundsError(f"trajectory {tid} extends past frame {self.n_frames_total - 1}")
+            raise BoundsError(f"trajectory {tid} leaves the frame bounds")
+
+    def _leaving_frame(self) -> np.ndarray:
+        """Per track, whether some point lies outside [0, width] x [0, height].
+
+        Tracks are checked in consecutive groups of about ``_CHECK_ROWS``
+        points, each group concatenated into one small array: one
+        whole-store copy would be a large temporary, and freeing it makes
+        glibc keep about twice its size of heap resident afterwards.
+        """
+        width, height = self.frame_size
+        trajs = self.trajectories
+        counts = np.array([t.n_points for t in trajs])
+        firsts = np.cumsum(counts) - counts  # each track's first row in the store
+        leaving = np.empty(len(trajs), dtype=bool)
+        lo = 0
+        while lo < len(trajs):
+            hi = max(lo + 1, int(np.searchsorted(firsts, firsts[lo] + _CHECK_ROWS)))
+            points = np.concatenate([t.points for t in trajs[lo:hi]])
+            x, y = points[:, 0], points[:, 1]
+            outside = ~((x >= 0) & (x <= width) & (y >= 0) & (y <= height))
+            leaving[lo:hi] = np.logical_or.reduceat(outside, firsts[lo:hi] - firsts[lo])
+            lo = hi
+        return leaving
 
     @cached_property
     def by_id(self) -> Mapping[int, Trajectory]:
@@ -99,12 +159,8 @@ class TrajectoryStore:
     @cached_property
     def frame_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ids, start frames and end frames (one past the last), in id order."""
-        ordered = sorted(self.trajectories, key=lambda t: t.id)
-        return (
-            np.array([t.id for t in ordered], dtype=np.int64),
-            np.array([t.start_frame for t in ordered], dtype=np.int64),
-            np.array([t.end_frame for t in ordered], dtype=np.int64),
-        )
+        order = np.argsort(self._spans[0])
+        return tuple(column[order] for column in self._spans)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -121,9 +177,9 @@ class Block:
 
     def __post_init__(self):
         if self.end <= self.start:
-            raise ValueError("block frame range is empty")
+            raise InvalidBlock("block frame range is empty")
         if set(self.spanning_ids) & set(self.partial_ids):
-            raise ValueError("spanning_ids and partial_ids overlap")
+            raise InvalidBlock("spanning_ids and partial_ids overlap")
 
     @property
     def length(self) -> int:
@@ -143,7 +199,8 @@ class SegmenterParams:
     70% coverage threshold for late labeling, 10% minimum spanning
     fraction per block, a 16x16 representative grid. The pipeline
     segments one moving object, so there are always ``m = 2`` clusters.
-    Every float must be finite (``InvalidParameter`` otherwise).
+    Every float must be finite, every int at most ``MAX_INT_PARAM`` and
+    the seed non-negative (``InvalidParameter`` otherwise).
     """
 
     omega: float = DEFAULT_OMEGA
@@ -166,6 +223,10 @@ class SegmenterParams:
         for name in ("outer_iters", "jacobi_iters", "grid_cells", "min_block_len"):
             if getattr(self, name) < 1:
                 raise InvalidParameter(f"{name} must be >= 1")
+        for name in ("outer_iters", "jacobi_iters", "grid_cells", "max_block_len", "min_block_len"):
+            check_at_most(name, getattr(self, name))
+        if self.seed < 0:
+            raise InvalidParameter("seed must be >= 0")
         for name in ("span_threshold", "min_span_fraction"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -471,6 +532,7 @@ def check_jobs(jobs: int) -> None:
     """Raise InvalidParameter unless ``jobs`` is a usable worker count."""
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
+    check_at_most("jobs", jobs)
 
 
 def segment_store(

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, DegenerateTrajectory, ShapeMismatch
+from .errors import (
+    BoundsError,
+    DegenerateTrajectory,
+    InvalidPreShape,
+    InvalidRotation,
+    InvalidTrajectory,
+    ShapeMismatch,
+)
 
 # Below this centered Frobenius norm a configuration has no usable shape;
 # far smaller than any realistic pixel-scale trajectory.
@@ -30,6 +37,9 @@ _INVARIANT_TOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float array; copied unless it already is one."""
+    if isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
@@ -40,8 +50,10 @@ class Trajectory:
     """An (x, y) point track over a contiguous frame range.
 
     Point ``i`` is the position at frame ``start_frame + i``. At least two
-    points are required: a single point has no shape. Every coordinate
-    must be finite (``BoundsError`` otherwise).
+    points are required: a single point has no shape (``InvalidTrajectory``
+    otherwise, as for a negative start frame). Every coordinate must be
+    finite (``BoundsError`` otherwise). The points are kept read-only; a
+    read-only float array is kept as it is, anything else is copied.
     """
 
     id: int
@@ -51,14 +63,44 @@ class Trajectory:
     def __post_init__(self):
         pts = _readonly(self.points)
         if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must be an (N, 2) array, got {pts.shape}")
+            raise InvalidTrajectory(f"points must be an (N, 2) array, got {pts.shape}")
         if pts.shape[0] < 2:
-            raise ValueError("a trajectory needs at least 2 points")
+            raise InvalidTrajectory("a trajectory needs at least 2 points")
         if self.start_frame < 0:
-            raise ValueError("start_frame must be >= 0")
+            raise InvalidTrajectory("start_frame must be >= 0")
         if not np.all(np.isfinite(pts)):
             raise BoundsError(f"trajectory {self.id} has a non-finite coordinate")
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def from_rows(cls, ids, starts, rows: np.ndarray, bounds) -> tuple[Trajectory, ...]:
+        """Trajectory ``i`` over ``rows[bounds[i]:bounds[i + 1]]``, for every ``i``.
+
+        Builds a whole file's tracks from one (M, 2) buffer: the
+        constructor's checks run once over all rows instead of once per
+        track, and each track's points are a read-only view of the
+        buffer, not a copy.
+        """
+        rows = _readonly(rows)
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise InvalidTrajectory(f"rows must be an (M, 2) array, got {rows.shape}")
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.size != len(ids) + 1 or bounds[0] != 0 or bounds[-1] != len(rows):
+            raise InvalidTrajectory("bounds must run from 0 to the row count, one per track")
+        if np.any(np.diff(bounds) < 2):
+            raise InvalidTrajectory("a trajectory needs at least 2 points")
+        if min(starts, default=0) < 0:
+            raise InvalidTrajectory("start_frame must be >= 0")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            track = np.searchsorted(bounds, np.argmin(finite), side="right") - 1
+            raise BoundsError(f"trajectory {ids[track]} has a non-finite coordinate")
+        out = []
+        for tid, start, lo, hi in zip(ids, starts, bounds[:-1].tolist(), bounds[1:].tolist()):
+            t = object.__new__(cls)
+            vars(t).update(id=tid, start_frame=start, points=rows[lo:hi])
+            out.append(t)
+        return tuple(out)
 
     @property
     def n_points(self) -> int:
@@ -79,11 +121,11 @@ class PreShape:
     def __post_init__(self):
         cfg = _readonly(self.config)
         if cfg.ndim != 2 or cfg.shape[1] != 2 or cfg.shape[0] < 2:
-            raise ValueError(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
+            raise InvalidPreShape(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
         if np.max(np.abs(cfg.sum(axis=0))) > _INVARIANT_TOL:
-            raise ValueError("config is not centered")
+            raise InvalidPreShape("config is not centered")
         if abs(np.linalg.norm(cfg) - 1.0) > _INVARIANT_TOL:
-            raise ValueError("config does not have unit Frobenius norm")
+            raise InvalidPreShape("config does not have unit Frobenius norm")
         object.__setattr__(self, "config", cfg)
 
     @property
@@ -100,14 +142,14 @@ class Rotation2D:
     def __post_init__(self):
         m = _readonly(self.matrix)
         if m.shape != (2, 2):
-            raise ValueError("rotation matrix must be 2x2")
+            raise InvalidRotation("rotation matrix must be 2x2")
         (a, b), (c, d) = m.tolist()
         # The entries of m @ m.T - I, then the determinant; NaN fails both.
         gram_off = (a * a + b * b - 1.0, a * c + b * d, c * c + d * d - 1.0)
         if not all(abs(v) <= _INVARIANT_TOL for v in gram_off):
-            raise ValueError("matrix is not orthogonal")
+            raise InvalidRotation("matrix is not orthogonal")
         if not abs(a * d - b * c - 1.0) <= _INVARIANT_TOL:
-            raise ValueError("matrix is not a proper rotation (det != +1)")
+            raise InvalidRotation("matrix is not a proper rotation (det != +1)")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -131,7 +173,7 @@ def project_to_preshape(config: np.ndarray) -> PreShape:
     """
     cfg = np.asarray(config, dtype=float)
     if cfg.ndim != 2 or cfg.shape[1] != 2 or cfg.shape[0] < 2:
-        raise ValueError(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
+        raise InvalidPreShape(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
     centered = cfg - cfg.mean(axis=0)
     norm = np.linalg.norm(centered)
     if norm < DEGENERACY_EPS:
@@ -185,7 +227,7 @@ def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are checked for centering and unit norm as ``PreShape`` checks them.
     """
     if z.ndim != 2 or z.shape[1] < 2:
-        raise ValueError(f"need a (K, N) stack with N >= 2, got {z.shape}")
+        raise InvalidPreShape(f"need a (K, N) stack with N >= 2, got {z.shape}")
     # Work on the rows' interleaved (x0, y0, x1, y1, ...) float view: the
     # norm is a plain dot product and the division a real one, as in the
     # (N, 2) form (a complex division would multiply by 1/norm instead).
@@ -195,10 +237,10 @@ def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pre = (flat / np.where(ok, norms, np.inf)[:, None]).view(complex)
     # The x and y sums of every row, as the parts of one complex sum.
     if np.abs(pre.sum(axis=1).view(float)).max(initial=0.0) > _INVARIANT_TOL:
-        raise ValueError("config is not centered")
+        raise InvalidPreShape("config is not centered")
     unit = np.sqrt(np.einsum("ij,ij->i", pre.view(float), pre.view(float)))
     if np.abs(unit[ok] - 1.0).max(initial=0.0) > _INVARIANT_TOL:
-        raise ValueError("config does not have unit Frobenius norm")
+        raise InvalidPreShape("config does not have unit Frobenius norm")
     return pre, norms
 
 

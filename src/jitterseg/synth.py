@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScene, InvalidParameter, UnknownId
-from .segmenter import TrajectoryStore
+from .segmenter import TrajectoryStore, check_at_most
 from .shapes import Trajectory
 
 # Jitter magnitudes per unit sigma: radians of roll, translation as a
@@ -41,7 +41,12 @@ _JITTER_STREAM = 1
 
 @dataclass(frozen=True)
 class SceneParams:
-    """Recipe for one synthetic scene; every float must be finite."""
+    """Recipe for one synthetic scene.
+
+    Every float must be finite, every count and size at most
+    ``MAX_INT_PARAM`` and the seed non-negative (``InvalidParameter``
+    otherwise).
+    """
 
     n_bg: int
     n_fg: int
@@ -64,6 +69,11 @@ class SceneParams:
             raise InvalidParameter("frame_size must be positive")
         if self.camera_speed < 0 or self.object_speed < 0:
             raise InvalidParameter("speeds must be >= 0")
+        sizes = (self.n_bg, self.n_fg, self.n_frames, *self.frame_size)
+        for name, value in zip(("n_bg", "n_fg", "n_frames", "width", "height"), sizes):
+            check_at_most(name, value)
+        if self.seed < 0:
+            raise InvalidParameter("seed must be >= 0")
         for name in ("sigma", "camera_speed", "object_speed"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameter(f"{name} must be finite")

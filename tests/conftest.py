@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+from itertools import chain
+
 import numpy as np
 
 from jitterseg import (
     BlockResult,
     PreShape,
+    Trajectory,
+    TrajectoryStore,
     back_transform,
     build_affinity,
     gpa_align,
@@ -16,7 +21,9 @@ from jitterseg import (
     spectral_cluster,
     stabilize_mean,
 )
-from jitterseg.errors import DegenerateTrajectory
+from jitterseg.errors import BoundsError, DegenerateTrajectory, DuplicateId, ParseError
+from jitterseg.io import _is_int, _parse_header, _valid_points
+from jitterseg.shapes import stack_preshapes, unit_phase
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -97,6 +104,26 @@ def oracle_affinity(shapes, omega: float) -> np.ndarray:
             a, b = shapes[i].config, shapes[j].config
             d = np.linalg.norm(a - b @ svd_rotation_matrix(a, b))
             values[i, j] = values[j, i] = np.exp(-d / omega)
+    return values
+
+
+def oracle_affinity_rows(shapes, omega: float) -> np.ndarray:
+    """``build_affinity``'s values with its former loop of one residual row per shape.
+
+    Row i takes ``z_i - u_ij z_j`` against every later shape j, where the
+    phases u come from one Gram matrix; the elementwise operations and the
+    last-axis sum are those of the strip-tiled version.
+    """
+    z = stack_preshapes(shapes)
+    phase = unit_phase(z @ z.conj().T)
+    k = len(z)
+    dist = np.zeros((k, k))
+    for i in range(k - 1):
+        resid = z[i] - phase[i, i + 1 :, None] * z[i + 1 :]
+        dist[i, i + 1 :] = np.sqrt(np.sum(resid.real**2 + resid.imag**2, axis=1))
+    dist = dist + dist.T
+    values = np.exp(-dist / omega)
+    np.fill_diagonal(values, 1.0)
     return values
 
 
@@ -220,3 +247,86 @@ def oracle_valid_points(pts) -> bool:
             for p in pts
         )
     )
+
+
+def oracle_parse_trajectories(path) -> TrajectoryStore:
+    """The trajectory parser as it was before it became columnar.
+
+    Every record is checked on its own as it is read, its points converted
+    with one ``np.fromiter`` and checked for finiteness and frame bounds
+    with per-track reductions; each track is its own ``Trajectory``.
+    """
+    header = None
+    trajectories = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
+            if not isinstance(rec, dict):
+                raise ParseError("record is not an object", lineno)
+            if header is None:
+                header = _parse_header(rec, lineno)
+                continue
+            trajectories.append(_oracle_parse_record(rec, lineno, header, seen))
+    if header is None:
+        raise ParseError("missing header record", 1)
+    frames, width, height = header
+    return TrajectoryStore(tuple(trajectories), frames, (width, height))
+
+
+def _oracle_parse_record(rec: dict, lineno: int, header, seen: set) -> Trajectory:
+    frames, width, height = header
+    for key in ("id", "start", "points"):
+        if key not in rec:
+            raise ParseError(f"record missing '{key}'", lineno)
+    if not _is_int(rec["id"]) or not _is_int(rec["start"]):
+        raise ParseError("'id' and 'start' must be integers", lineno)
+    pts = rec["points"]
+    if not _valid_points(pts):
+        raise ParseError("'points' must be a list of >= 2 [x, y] pairs", lineno)
+    tid, start = rec["id"], rec["start"]
+    if tid in seen:
+        raise DuplicateId(f"line {lineno}: trajectory id {tid} appears twice")
+    seen.add(tid)
+    if start < 0 or start + len(pts) > frames:
+        raise BoundsError(
+            f"line {lineno}: trajectory {tid} covers frames outside [0, {frames})"
+        )
+    try:
+        arr = np.fromiter(chain.from_iterable(pts), dtype=float, count=2 * len(pts))
+    except OverflowError:
+        raise ParseError(
+            f"trajectory {tid} has an integer coordinate too large for a float", lineno
+        ) from None
+    arr = arr.reshape(-1, 2)
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"trajectory {tid} has a non-finite coordinate", lineno)
+    if (
+        arr[:, 0].min() < 0
+        or arr[:, 0].max() > width
+        or arr[:, 1].min() < 0
+        or arr[:, 1].max() > height
+    ):
+        raise BoundsError(f"line {lineno}: trajectory {tid} leaves the frame bounds")
+    return Trajectory(tid, start, arr)
+
+
+def oracle_store_check(trajectories, n_frames_total: int, frame_size) -> None:
+    """``TrajectoryStore``'s former per-track checks: ids, end frames, bounds."""
+    width, height = frame_size
+    seen = set()
+    for t in trajectories:
+        if t.id in seen:
+            raise DuplicateId(f"trajectory id {t.id} appears twice")
+        seen.add(t.id)
+        if t.end_frame > n_frames_total:
+            raise BoundsError(f"trajectory {t.id} extends past frame {n_frames_total - 1}")
+        x, y = t.points[:, 0], t.points[:, 1]
+        if x.min() < 0 or x.max() > width or y.min() < 0 or y.max() > height:
+            raise BoundsError(f"trajectory {t.id} leaves the frame bounds")

@@ -7,6 +7,7 @@ import pytest
 
 from jitterseg import (
     AffinityMatrix,
+    ClusterAssignment,
     SceneParams,
     Trajectory,
     build_affinity,
@@ -19,6 +20,7 @@ from jitterseg.clustering import DEFAULT_OMEGA, _spectral_embedding
 from jitterseg.errors import (
     ClusterCollapse,
     InvalidAffinity,
+    InvalidAssignment,
     InvalidParameter,
     JittersegError,
     ShapeMismatch,
@@ -239,3 +241,12 @@ class TestAffinityType:
     def test_errors_are_value_errors(self):
         assert issubclass(InvalidAffinity, JittersegError)
         assert issubclass(InvalidAffinity, ValueError)
+
+
+class TestClusterAssignmentType:
+    @pytest.mark.parametrize("labels", [(0, 2, 1), (0, 0, 0), (1, 1)])
+    def test_typed_value_error(self, labels):
+        with pytest.raises(InvalidAssignment) as info:
+            ClusterAssignment(labels, 2)
+        assert isinstance(info.value, JittersegError)
+        assert isinstance(info.value, ValueError)

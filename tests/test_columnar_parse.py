@@ -1,0 +1,341 @@
+"""The columnar trajectory parser and the store's whole-store checks.
+
+``parse_trajectories`` checks each record's structure as it reads it, but
+finiteness and frame bounds once over one buffer of all points;
+``TrajectoryStore`` checks ids, end frames and bounds over all tracks at
+once. ``conftest`` keeps the former per-record parser and per-track store
+checks as oracles: on generated files with injected faults both must give
+the same store bit for bit, or the same error type and message.
+"""
+
+from __future__ import annotations
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jitterseg import (
+    Trajectory,
+    TrajectoryStore,
+    parse_trajectories,
+    segmenter,
+    serialize_trajectories,
+)
+from jitterseg.errors import BoundsError, InvalidTrajectory, JittersegError, ParseError
+
+from conftest import oracle_parse_trajectories, oracle_store_check
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+FAULTS = (
+    "bad_json",
+    "bool",
+    "null",
+    "string",
+    "nan",
+    "infinity",
+    "out_of_frame",
+    "start_negative",
+    "end_past",
+    "duplicate_id",
+    "huge_int",
+    "huge_id",
+)
+
+_JSON_LITERALS = {"nan": "NaN", "infinity": "Infinity"}
+NAN, INF = float("nan"), float("inf")  # written as NaN and Infinity
+
+
+def _rec(tid: int, points, start: int = 0) -> str:
+    return json.dumps({"id": tid, "start": start, "points": points})
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except JittersegError as exc:
+        return exc
+
+
+def _assert_same(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        assert str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.n_frames_total == want.n_frames_total
+    assert got.frame_size == want.frame_size
+    assert len(got) == len(want)
+    for a, b in zip(got.trajectories, want.trajectories):
+        assert (a.id, a.start_frame) == (b.id, b.start_frame)
+        assert a.points.dtype == b.points.dtype == np.float64
+        assert a.points.shape == b.points.shape
+        assert a.points.tobytes() == b.points.tobytes()  # bitwise, signed zeros too
+        assert not a.points.flags.writeable
+
+
+@st.composite
+def trajectory_files(draw, fault=None):
+    """The lines of a trajectory file, with up to two faults injected at
+    random records, after ``fault`` when one is given."""
+    frames = draw(st.integers(2, 12))
+    width, height = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    n = draw(st.integers(0 if fault is None else 1, 6))
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n, unique=True))
+    records = []
+    for tid in ids:
+        start = draw(st.integers(0, frames - 2))
+        length = draw(st.integers(2, frames - start))
+        axes = [
+            st.one_of(
+                st.integers(0, side),
+                st.floats(0.0, float(side)),
+                st.sampled_from([0.0, -0.0, 5e-324, side]),
+            )
+            for side in (width, height)
+        ]
+        points = [[draw(axes[0]), draw(axes[1])] for _ in range(length)]
+        records.append({"id": tid, "start": start, "points": points})
+    texts = {}
+    first = [] if fault is None else [fault]
+    for kind in first + draw(st.lists(st.sampled_from(FAULTS), max_size=2)) if records else ():
+        k = draw(st.integers(0, len(records) - 1))
+        rec = records[k]
+        p = draw(st.integers(0, len(rec["points"]) - 1))
+        axis = draw(st.integers(0, 1))
+        if kind == "bad_json":
+            texts[k] = draw(st.sampled_from(["not json", "[1, 2", '{"id": 1,}']))
+        elif kind in ("bool", "null", "string"):
+            rec["points"][p][axis] = {"bool": True, "null": None, "string": "1"}[kind]
+        elif kind in _JSON_LITERALS:
+            rec["points"][p][axis] = float(_JSON_LITERALS[kind])
+        elif kind == "out_of_frame":
+            rec["points"][p][axis] = draw(st.sampled_from([-0.5, (width, height)[axis] + 1]))
+        elif kind == "start_negative":
+            rec["start"] = -1
+        elif kind == "end_past":
+            rec["start"] = frames - len(rec["points"]) + 1
+        elif kind == "duplicate_id":
+            rec["id"] = records[draw(st.integers(0, len(records) - 1))]["id"]
+        elif kind == "huge_int":
+            rec["points"][p][axis] = draw(st.sampled_from([10**400, -(10**400)]))
+        else:  # huge_id: accepted by the reader, refused by the store
+            rec["id"] = 10**400
+    lines = [json.dumps({"frames": frames, "width": width, "height": height})]
+    for k, rec in enumerate(records):
+        lines.append(texts.get(k, json.dumps(rec, separators=(",", ":"))))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    return lines
+
+
+def _check_file(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("parse") / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_same(_outcome(parse_trajectories, path), _outcome(oracle_parse_trajectories, path))
+
+
+class TestParserOracle:
+    @PROPERTY
+    @given(trajectory_files())
+    def test_same_store_or_same_error(self, tmp_path_factory, lines):
+        _check_file(tmp_path_factory, lines)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_same_error_for_each_fault(self, tmp_path_factory, fault):
+        @settings(max_examples=25, deadline=None, derandomize=True)
+        @given(trajectory_files(fault))
+        def check(lines):
+            _check_file(tmp_path_factory, lines)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            # An earlier record's point fault wins over a later structural one.
+            ([_rec(0, [[1, 1], [NAN, 1]]), "not json"], 2),
+            ([_rec(0, [[1, 1], [500, 1]]), _rec(0, [[1, 1], [2, 1]])], 2),
+            ([_rec(0, [[1, 1], [2, 1]]), _rec(1, [[-1, 1], [INF, 1]])], 3),
+            (
+                [
+                    _rec(0, [[1, 1], [2, 1]]),
+                    _rec(1, [[NAN, 1], [INF, 1]]),
+                    _rec(2, [[1, 1], [2, 1]], start=9),
+                ],
+                3,
+            ),
+            (
+                [
+                    _rec(0, [[1, 1], [2, 1]]),
+                    _rec(1, [[1, 1], [10**400, 1]]),
+                    _rec(2, [[-1, 1], [2, 1]]),
+                ],
+                3,
+            ),
+            # A record's own points before a too-large integer are not checked.
+            ([_rec(0, [[-1, 1], [NAN, 1], [10**400, 1]])], 2),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, records, line):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(['{"frames":3,"width":100,"height":100}', *records]) + "\n")
+        got = _outcome(parse_trajectories, path)
+        _assert_same(got, _outcome(oracle_parse_trajectories, path))
+        assert f"line {line}:" in str(got)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"frames":3,"width":100,"height":100}\n{"id":0,"start":0,"points":%s}\n'
+                % ("[" * 100_000 + "]" * 100_000),
+                "line 2: invalid JSON (nested too deeply)",
+            ),
+            (
+                '{"frames":3,"width":%d,"height":100}\n' % 10**400,
+                "line 1: header 'width' must be <= 2147483647",
+            ),
+        ],
+    )
+    def test_extreme_input_is_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            parse_trajectories(path)
+        assert str(info.value) == message
+
+    def test_tracks_are_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"frames":4,"width":100,"height":100}\n'
+            '{"id":5,"start":1,"points":[[1,1],[2,1],[3,1]]}\n'
+            '{"id":2,"start":0,"points":[[7,7],[8,7]]}\n'
+        )
+        store = parse_trajectories(path)
+        a, b = store.trajectories
+        assert a.points.base is not None and a.points.base is b.points.base
+        assert not a.points.flags.writeable
+        with pytest.raises(ValueError):
+            a.points[0, 0] = 3.0
+
+
+_stores = st.builds(
+    lambda seed, n, frames: _random_store(np.random.default_rng(seed), n, frames),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 8),
+    st.integers(2, 15),
+)
+
+
+def _random_store(rng, n: int, frames: int) -> TrajectoryStore:
+    width, height = 640, 360
+    trajs = []
+    for tid in rng.permutation(10 * n + 1)[:n]:
+        start = int(rng.integers(0, frames - 1))
+        length = int(rng.integers(2, frames - start + 1))
+        scale = 10.0 ** rng.integers(-300, 3, size=(length, 1))
+        pts = rng.uniform(0.0, 1.0, (length, 2)) * scale * [width, height]
+        pts = np.minimum(pts, [width, height])
+        pts[rng.random((length, 2)) < 0.1] = 0.0
+        trajs.append(Trajectory(int(tid) - 5 * n, start, pts))
+    return TrajectoryStore(tuple(trajs), frames, (width, height))
+
+
+class TestRoundTrip:
+    @PROPERTY
+    @given(_stores)
+    def test_serialize_then_parse_is_bitwise(self, tmp_path_factory, store):
+        path = tmp_path_factory.mktemp("rt") / "t.jsonl"
+        serialize_trajectories(store, path)
+        back = parse_trajectories(path)
+        assert back.n_frames_total == store.n_frames_total
+        assert back.frame_size == store.frame_size
+        # The file lists tracks in id order.
+        want = sorted(store.trajectories, key=lambda t: t.id)
+        assert [t.id for t in back.trajectories] == [t.id for t in want]
+        for a, b in zip(back.trajectories, want):
+            assert a.start_frame == b.start_frame
+            assert a.points.tobytes() == b.points.tobytes()
+
+
+class TestStoreChecks:
+    @PROPERTY
+    @given(
+        _stores,
+        st.lists(st.sampled_from(["duplicate", "past_end", "below", "above"]), max_size=3),
+        st.randoms(use_true_random=False),
+        st.sampled_from([1, 5, 17, segmenter._CHECK_ROWS]),
+    )
+    def test_same_error_as_per_track_checks(self, store, faults, rnd, group_rows):
+        trajs = list(store.trajectories)
+        frames, size = store.n_frames_total, store.frame_size
+        for fault in faults:
+            if not trajs:
+                break
+            k = rnd.randrange(len(trajs))
+            t = trajs[k]
+            if fault == "duplicate":
+                trajs[k] = Trajectory(rnd.choice(trajs).id, t.start_frame, t.points)
+            elif fault == "past_end":
+                trajs[k] = Trajectory(t.id, frames - t.n_points + 1, t.points)
+            else:
+                pts = t.points.copy()
+                axis = rnd.randrange(2)
+                bad = -1e-9 if fault == "below" else size[axis] + 1.0
+                pts[rnd.randrange(t.n_points), axis] = bad
+                trajs[k] = Trajectory(t.id, t.start_frame, pts)
+        want = None
+        try:
+            oracle_store_check(trajs, frames, size)
+        except JittersegError as exc:
+            want = exc
+        try:
+            # Small groups split the bounds check over many concatenations.
+            with mock.patch.object(segmenter, "_CHECK_ROWS", group_rows):
+                TrajectoryStore(tuple(trajs), frames, size)
+        except JittersegError as exc:
+            assert want is not None and type(exc) is type(want) and str(exc) == str(want)
+        else:
+            assert want is None
+
+    def test_huge_id_is_typed(self):
+        t = Trajectory(10**400, 0, np.array([[1.0, 1.0], [2.0, 2.0]]))
+        with pytest.raises(BoundsError, match="64-bit"):
+            TrajectoryStore((t,), 4, (10, 10))
+
+    def test_frame_spans_in_id_order(self):
+        pts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        store = TrajectoryStore(
+            (Trajectory(9, 1, pts), Trajectory(-3, 0, pts[:2]), Trajectory(4, 0, pts)), 5, (10, 10)
+        )
+        ids, starts, ends = store.frame_spans
+        assert ids.tolist() == [-3, 4, 9]
+        assert starts.tolist() == [0, 0, 1]
+        assert ends.tolist() == [2, 3, 4]
+
+
+class TestFromRows:
+    def test_rejects_what_the_constructor_rejects(self):
+        rows = np.array([[1.0, 1.0], [2.0, 2.0], [np.nan, 3.0], [4.0, 4.0]])
+        with pytest.raises(BoundsError, match="trajectory 8 "):
+            Trajectory.from_rows([7, 8], [0, 0], rows, [0, 2, 4])
+        with pytest.raises(InvalidTrajectory, match="at least 2"):
+            Trajectory.from_rows([7, 8], [0, 0], np.zeros((3, 2)), [0, 2, 3])
+        with pytest.raises(InvalidTrajectory, match="start_frame"):
+            Trajectory.from_rows([7], [-1], rows[:2], [0, 2])
+        with pytest.raises(InvalidTrajectory, match="bounds"):
+            Trajectory.from_rows([7], [0], rows[:2], [0, 3])
+
+    def test_views_without_copy(self):
+        rows = np.arange(10.0).reshape(5, 2)
+        rows.flags.writeable = False
+        a, b = Trajectory.from_rows([1, 2], [0, 3], rows, [0, 3, 5])
+        assert np.shares_memory(a.points, rows) and np.shares_memory(b.points, rows)
+        assert (a.id, a.start_frame, a.end_frame) == (1, 0, 3)
+        assert (b.id, b.start_frame, b.end_frame) == (2, 3, 5)
+        assert np.array_equal(b.points, [[6.0, 7.0], [8.0, 9.0]])

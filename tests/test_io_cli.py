@@ -32,6 +32,7 @@ from jitterseg.errors import (
     ParseError,
 )
 from jitterseg.io import _valid_points
+from jitterseg.segmenter import MAX_INT_PARAM
 
 from conftest import oracle_valid_points
 
@@ -336,6 +337,84 @@ class TestCli:
         cfg.write_text('{"%s": %s}' % (key, text))
         assert run_cli(["segment", "--config", str(cfg), "--input", "x", "--output", "y"]) == 2
         assert f"config key '{key}' must be {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--grid", "grid_cells"),
+            ("--outer-iters", "outer_iters"),
+            ("--jacobi-iters", "jacobi_iters"),
+            ("--max-block-len", "max_block_len"),
+            ("--jobs", "jobs"),
+        ],
+    )
+    def test_huge_segment_integer_is_usage_error(self, tmp_path, capsys, flag, name):
+        traj, _ = self._synth(tmp_path, 0.0)
+        out = tmp_path / "x"
+        for value in (str(10**20), str(MAX_INT_PARAM + 1)):
+            capsys.readouterr()
+            code = run_cli(["segment", "--input", str(traj), "--output", str(out), flag, value])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"jitterseg segment: invalid parameters: {name} must be <= {MAX_INT_PARAM}\n"
+            )
+        assert not out.exists()
+
+    def test_largest_integers_are_accepted(self):
+        SegmenterParams(grid_cells=MAX_INT_PARAM, max_block_len=MAX_INT_PARAM)
+        SceneParams(MAX_INT_PARAM, MAX_INT_PARAM, MAX_INT_PARAM, 0.1, (MAX_INT_PARAM,) * 2)
+
+    def test_huge_config_integer_is_usage_error(self, tmp_path, capsys):
+        traj, _ = self._synth(tmp_path, 0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": %d}' % 10**20)
+        out = tmp_path / "x"
+        argv = ["segment", "--config", str(cfg), "--input", str(traj), "--output", str(out)]
+        code = run_cli(argv)
+        assert code == 2
+        assert "grid_cells must be <= " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--n-bg", "n_bg"),
+            ("--n-fg", "n_fg"),
+            ("--frames", "n_frames"),
+            ("--width", "width"),
+            ("--height", "height"),
+        ],
+    )
+    def test_huge_synth_integer_is_usage_error(self, tmp_path, capsys, flag, name):
+        capsys.readouterr()
+        out, gt = tmp_path / "t.jsonl", tmp_path / "gt.jsonl"
+        base = ["synth", "--sigma", "0.1", "--n-bg", "6", "--n-fg", "3", "--frames", "10"]
+        code = run_cli([*base, "--out", str(out), "--gt", str(gt), flag, str(10**20)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"jitterseg synth: invalid parameters: {name} must be <= {MAX_INT_PARAM}\n"
+        )
+        assert not out.exists() and not gt.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        traj, _ = self._synth(tmp_path, 0.0)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = run_cli(["segment", "--input", str(traj), "--output", str(out), "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "jitterseg segment: invalid parameters: seed must be >= 0\n"
+        )
+        out, gt = tmp_path / "t.jsonl", tmp_path / "gt.jsonl"
+        base = ["synth", "--sigma", "0.1", "--n-bg", "6", "--n-fg", "3", "--frames", "10"]
+        assert run_cli([*base, "--out", str(out), "--gt", str(gt), "--seed", "-2"]) == 2
+        assert capsys.readouterr().err == "jitterseg synth: invalid parameters: seed must be >= 0\n"
+
+    def test_huge_seed_is_accepted(self, tmp_path):
+        traj, _ = self._synth(tmp_path, 0.15, seed=10**20)
+        out = tmp_path / "labels.jsonl"
+        argv = ["segment", "--input", str(traj), "--output", str(out), "--seed", str(10**20)]
+        assert run_cli(argv) == 0
 
     def test_omega_underflow_is_pipeline_error(self, tmp_path, capsys):
         traj, _ = self._synth(tmp_path, 0.15)

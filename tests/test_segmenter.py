@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jitterseg import (
+    Block,
     BlockResult,
     SceneParams,
     SegmenterParams,
@@ -26,7 +27,9 @@ from jitterseg import (
 from jitterseg.errors import (
     BoundsError,
     DuplicateId,
+    InvalidBlock,
     InvalidParameter,
+    JittersegError,
     NoSharedTrajectories,
     NoValidBlock,
     TooFewRepresentatives,
@@ -463,3 +466,14 @@ class TestDeterminismAndStore:
             SegmenterParams(span_threshold=1.5)
         with pytest.raises(InvalidParameter):
             SegmenterParams(outer_iters=0)
+
+
+class TestBlockType:
+    @pytest.mark.parametrize(
+        "args", [(5, 5, (), ()), (6, 2, (1,), ()), (0, 10, (1, 2), (2, 3))]
+    )
+    def test_typed_value_error(self, args):
+        with pytest.raises(InvalidBlock) as info:
+            Block(*args)
+        assert isinstance(info.value, JittersegError)
+        assert isinstance(info.value, ValueError)

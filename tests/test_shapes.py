@@ -14,7 +14,15 @@ from jitterseg import (
     project_to_preshape,
     to_preshape,
 )
-from jitterseg.errors import BoundsError, DegenerateTrajectory, ShapeMismatch
+from jitterseg.errors import (
+    BoundsError,
+    DegenerateTrajectory,
+    InvalidPreShape,
+    InvalidRotation,
+    InvalidTrajectory,
+    JittersegError,
+    ShapeMismatch,
+)
 
 from conftest import grid_search_rotation, random_preshape, random_trajectory_points, rotation_matrix
 
@@ -194,3 +202,27 @@ class TestPreShapeType:
         pre = random_preshape(rng)
         with pytest.raises(ValueError):
             pre.config[0, 0] = 5.0
+
+
+class TestTypedValidationErrors:
+    """Constructor checks raise JittersegError subclasses that are still ValueErrors."""
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: Trajectory(0, 0, np.zeros(4)), InvalidTrajectory),
+            (lambda: Trajectory(0, 0, np.zeros((1, 2))), InvalidTrajectory),
+            (lambda: Trajectory(0, -1, np.zeros((2, 2))), InvalidTrajectory),
+            (lambda: PreShape(np.zeros((1, 2))), InvalidPreShape),
+            (lambda: PreShape(np.array([[1.0, 0.0], [0.0, 0.0]])), InvalidPreShape),
+            (lambda: PreShape(np.array([[-1.0, 0.0], [1.0, 0.0]])), InvalidPreShape),
+            (lambda: Rotation2D(np.eye(3)), InvalidRotation),
+            (lambda: Rotation2D(np.array([[1.0, 0.0], [0.0, -1.0]])), InvalidRotation),
+            (lambda: Rotation2D(np.array([[1.0, 0.5], [0.0, 1.0]])), InvalidRotation),
+        ],
+    )
+    def test_typed(self, build, error):
+        with pytest.raises(error) as info:
+            build()
+        assert isinstance(info.value, JittersegError)
+        assert isinstance(info.value, ValueError)
