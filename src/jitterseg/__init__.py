@@ -1,8 +1,8 @@
 """Sparse moving-object segmentation for jittery videos.
 
-Point trajectories are modeled as planar shapes; jointly stabilizing and
-clustering them separates a single moving object from the background
-even under heavy camera shake. Includes a synthetic jittery-scene
+Point trajectories are modeled as planar shapes; clustering them by
+their Procrustes-aligned shapes separates a single moving object from
+the background even under heavy camera shake. Includes a synthetic jittery-scene
 benchmark and a CLI (``jitterseg segment | synth | eval``).
 """
 

@@ -1,12 +1,12 @@
-"""Per-cluster alignment and smoothing of mean trajectories.
+"""Per-cluster alignment of pre-shapes, and mean smoothing.
 
 Given a cluster of pre-shapes, alternating Procrustes alignment rotates
 each member so the cluster collapses as tightly as possible around its
 average configuration (the cluster's mean trajectory in shape space).
-That mean is then smoothed by a fixed number of Jacobi sweeps of a
-closed-form update that trades fidelity to the raw mean against the
-variance of its rows, and each member is reconstructed from the smoothed
-mean by undoing its rotation.
+``stabilize_mean`` smooths a mean by Jacobi sweeps that trade fidelity
+against row variance, and ``back_transform`` undoes each member's
+rotation on it. The segmenter uses neither: on a centered GPA mean the
+sweeps only rescale it, and every later step re-projects the scale away.
 """
 
 from __future__ import annotations

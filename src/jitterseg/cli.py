@@ -52,9 +52,9 @@ _SEGMENT = _from_params(
     _Option("input", "trajectory file to segment"),
     _Option("output", "label file to write"),
     _Option("omega", "affinity bandwidth"),
-    _Option("lambda", "stabilization weight; use 0.6 for heavy jitter", field="lam"),
-    _Option("outer_iters", "stabilize-and-cluster rounds"),
-    _Option("jacobi_iters", "smoothing sweeps per round"),
+    _Option("lambda", "stabilization weight; recorded, does not affect labels", field="lam"),
+    _Option("outer_iters", "stabilize-and-cluster rounds; recorded, does not affect labels"),
+    _Option("jacobi_iters", "smoothing sweeps per round; recorded, does not affect labels"),
     _Option("m", None),
     _Option("span_threshold", "late-label coverage"),
     _Option("min_span_fraction", "spanning fraction per block"),
@@ -106,7 +106,7 @@ def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
         try:
             with open(args["config"], "r", encoding="utf-8") as f:
                 loaded = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
             _PARSER.error(f"cannot read config: {exc}")
         if not isinstance(loaded, dict):
             _PARSER.error("config must be a JSON object")

@@ -29,6 +29,31 @@ def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _records(path):
+    """Yield (line number, JSON value) for each non-blank line of a file.
+
+    Undecodable bytes are read as escapes, so a line that is not UTF-8 or
+    not JSON is a ``ParseError`` with its number.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not UTF-8 text", lineno) from None
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
+            except RecursionError:
+                raise ParseError("invalid JSON (nested too deeply)", lineno) from None
+            yield lineno, rec
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -80,27 +105,17 @@ def parse_trajectories(path) -> TrajectoryStore:
     bounds = [0]  # track i owns buffer rows bounds[i]:bounds[i + 1]
     seen: set[int] = set()
     fault = None
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
-                except RecursionError:
-                    raise ParseError("invalid JSON (nested too deeply)", lineno) from None
-                if not isinstance(rec, dict):
-                    raise ParseError("record is not an object", lineno)
-                if header is None:
-                    header = _parse_header(rec, lineno)
-                    continue
-                tracks.append(_parse_record(rec, lineno, header, seen, coords))
-                bounds.append(len(coords) // 2)
-        except JittersegError as exc:
-            fault = exc
+    try:
+        for lineno, rec in _records(path):
+            if not isinstance(rec, dict):
+                raise ParseError("record is not an object", lineno)
+            if header is None:
+                header = _parse_header(rec, lineno)
+                continue
+            tracks.append(_parse_record(rec, lineno, header, seen, coords))
+            bounds.append(len(coords) // 2)
+    except JittersegError as exc:
+        fault = exc
     if header is None:
         raise fault or ParseError("missing header record", 1)
     frames, width, height = header
@@ -241,34 +256,22 @@ def parse_labels(path) -> LabelFileData:
     blocks = []
     fused = None
     foreground = 1
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(rec, dict) or "type" not in rec:
-                raise ParseError("record needs a 'type' field", lineno)
-            kind = rec["type"]
-            if kind == "params":
-                params = rec.get("params")
-            elif kind == "block":
-                rng = rec.get("range")
-                if (
-                    not isinstance(rng, list)
-                    or len(rng) != 2
-                    or not all(_is_int(v) for v in rng)
-                ):
-                    raise ParseError("'range' must be [start, end]", lineno)
-                blocks.append(((rng[0], rng[1]), _parse_label_map(rec.get("labels"), lineno)))
-            elif kind == "fused":
-                fused = _parse_label_map(rec.get("labels"), lineno)
-                foreground = rec.get("foreground_cluster", 1)
-            else:
-                raise ParseError(f"unknown record type {kind!r}", lineno)
+    for lineno, rec in _records(path):
+        if not isinstance(rec, dict) or "type" not in rec:
+            raise ParseError("record needs a 'type' field", lineno)
+        kind = rec["type"]
+        if kind == "params":
+            params = rec.get("params")
+        elif kind == "block":
+            rng = rec.get("range")
+            if not isinstance(rng, list) or len(rng) != 2 or not all(_is_int(v) for v in rng):
+                raise ParseError("'range' must be [start, end]", lineno)
+            blocks.append(((rng[0], rng[1]), _parse_label_map(rec.get("labels"), lineno)))
+        elif kind == "fused":
+            fused = _parse_label_map(rec.get("labels"), lineno)
+            foreground = rec.get("foreground_cluster", 1)
+        else:
+            raise ParseError(f"unknown record type {kind!r}", lineno)
     if fused is None:
         raise ParseError("missing fused record", 1)
     return LabelFileData(params, tuple(blocks), fused, foreground)

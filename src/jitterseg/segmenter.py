@@ -2,11 +2,11 @@
 
 The frame range is tiled into blocks sized so that enough trajectories
 span each block entirely. Within a block, one spanning trajectory per
-occupied grid cell is chosen as a representative; representatives are
-repeatedly clustered, aligned, stabilized, and rebuilt for a fixed number
-of iterations, after which trajectories that cover enough of the block
-are labeled by their nearest stabilized cluster mean. Per-block labels
-are finally reconciled into one foreground/background labeling.
+occupied grid cell is chosen as a representative; the representatives
+are clustered once by their pairwise Procrustes affinity and each
+cluster is aligned to its GPA mean, after which trajectories that cover
+enough of the block are labeled by their nearest cluster mean. Per-block
+labels are finally reconciled into one foreground/background labeling.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import numpy as np
 
 from .alignment import (
     DEFAULT_JACOBI_ITERS,
-    StabilizedMean,
     back_transform,  # noqa: F401  (see below)
     gpa_align,
-    stabilize_mean,
+    stabilize_mean,  # noqa: F401  (see below)
 )
 from .clustering import DEFAULT_OMEGA, build_affinity, spectral_cluster
 from .errors import (
@@ -51,10 +50,10 @@ from .shapes import (
     unit_phase,
 )
 
-# back_transform, procrustes_distance and project_to_preshape are no longer
-# called here: the block loop and the straggler labeling work on stacked
-# arrays. They stay importable from this module because the per-layer
-# tracer (bench/tracing.py) looks them up here by name.
+# stabilize_mean, back_transform, procrustes_distance and
+# project_to_preshape are not called here. They stay importable from this
+# module because the per-layer tracer (bench/tracing.py) looks them up
+# here by name.
 
 # Slack for fraction thresholds so exact ratios (e.g. 10 of 100 at 0.1)
 # are not lost to floating-point representation of the fraction.
@@ -194,10 +193,10 @@ class Block:
 class SegmenterParams:
     """Tuning constants of the sparse segmentation pipeline.
 
-    Defaults: affinity bandwidth 0.02, smoothing weight 0.2 (use 0.6 for
-    heavily shaken footage), 3 outer iterations, 5 smoothing sweeps,
-    70% coverage threshold for late labeling, 10% minimum spanning
-    fraction per block, a 16x16 representative grid. The pipeline
+    Defaults: affinity bandwidth 0.02, 70% coverage threshold for late
+    labeling, 10% minimum spanning fraction per block, a 16x16
+    representative grid. ``lam``, ``outer_iters`` and ``jacobi_iters``
+    are checked and recorded but do not affect labels. The pipeline
     segments one moving object, so there are always ``m = 2`` clusters.
     Every float must be finite, every int at most ``MAX_INT_PARAM`` and
     the seed non-negative (``InvalidParameter`` otherwise).
@@ -240,11 +239,15 @@ class SegmenterParams:
 
 @dataclass(frozen=True)
 class BlockResult:
-    """Labels, stabilized cluster means, and rotations for one block."""
+    """Labels, cluster means, and rotations for one block.
+
+    ``means`` holds each cluster's GPA mean, an (N, 2) array over the
+    block's frames (read-only, as ``gpa_align`` returns it).
+    """
 
     block: Block
     labels: dict[int, int]
-    means: tuple[StabilizedMean, ...]
+    means: tuple[np.ndarray, ...]
     rotations: dict[int, Rotation2D] = field(default_factory=dict)
 
 
@@ -338,35 +341,23 @@ def select_representatives(
 
 
 def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams) -> BlockResult:
-    """Cluster, align, and stabilize one block's representatives, then label.
+    """Cluster and align one block's representatives, then label.
 
-    Runs exactly ``outer_iters`` rounds of affinity construction,
-    spectral clustering, per-cluster alignment, mean stabilization, and
-    member reconstruction; afterwards labels every qualifying
-    non-representative by its nearest stabilized mean.
-
-    The representatives stay one (K, N) complex pre-shape stack
-    throughout: member k of a cluster is rebuilt as ``conj(w_k) * mean``,
-    undoing its GPA phase ``w_k``, and the whole stack is re-projected
-    onto the pre-shape sphere at once.
+    One pass: the representatives' pairwise Procrustes affinity is
+    spectrally clustered, each cluster is aligned to its GPA mean, and
+    every qualifying non-representative is labeled by its nearest mean.
+    The representatives are one (K, N) complex pre-shape stack.
     """
     reps = select_representatives(store, block, params)
     z = project_rows(_windows(store, reps, block.start, block.end))
-
-    for _ in range(params.outer_iters):
-        afy = build_affinity(z, params.omega)
-        assignment = spectral_cluster(afy, params.m, params.seed)
-        rebuilt = np.empty_like(z)
-        phases = np.empty(len(reps), dtype=complex)
-        means = []
-        for c in range(params.m):
-            idx = assignment.members(c)
-            gpa = gpa_align(z, idx)
-            smean = stabilize_mean(gpa.mean, params.lam, params.jacobi_iters)
-            means.append(smean)
-            phases[idx] = gpa.phases
-            rebuilt[idx] = gpa.phases.conj()[:, None] * as_complex(smean.config)
-        z = project_rows(rebuilt)
+    assignment = spectral_cluster(build_affinity(z, params.omega), params.m, params.seed)
+    phases = np.empty(len(reps), dtype=complex)
+    means = []
+    for c in range(params.m):
+        idx = assignment.members(c)
+        gpa = gpa_align(z, idx)
+        means.append(gpa.mean)
+        phases[idx] = gpa.phases
 
     labels = dict(zip(reps, assignment.labels))
     rotations = {rid: rotation_from_phase(w) for rid, w in zip(reps, phases)}
@@ -384,7 +375,7 @@ def assign_stragglers(
     """Label unassigned trajectories that cover enough of the block.
 
     A trajectory covering at least ``span_threshold`` of the block joins
-    the cluster whose stabilized mean is nearest in Procrustes distance,
+    the cluster whose mean is nearest in Procrustes distance,
     with both the trajectory and the mean rows cropped to the overlap
     window and re-projected to the pre-shape sphere first. Near-exact
     ties go to the lower cluster index. Trajectories below the coverage
@@ -409,7 +400,7 @@ def assign_stragglers(
         & ~np.isin(ids, np.fromiter(labels, dtype=np.int64, count=len(labels)))
     )
     ids, lo, hi = ids[candidate], lo[candidate], hi[candidate]
-    means = np.array([as_complex(sm.config) for sm in result.means])
+    means = as_complex(np.array(result.means))
     n_means = len(means)
     found = np.full(ids.size, -1)
     for a, b in sorted(set(zip(lo.tolist(), hi.tolist()))):

@@ -175,6 +175,9 @@ def project_to_preshape(config: np.ndarray) -> PreShape:
     if cfg.ndim != 2 or cfg.shape[1] != 2 or cfg.shape[0] < 2:
         raise InvalidPreShape(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
     centered = cfg - cfg.mean(axis=0)
+    # A second pass removes what the rounded mean leaves behind, which the
+    # division would blow up for a (nearly) motionless track.
+    centered -= centered.mean(axis=0)
     norm = np.linalg.norm(centered)
     if norm < DEGENERACY_EPS:
         raise DegenerateTrajectory(f"centered norm {norm:.3e} below {DEGENERACY_EPS:.0e}")
@@ -231,7 +234,9 @@ def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Work on the rows' interleaved (x0, y0, x1, y1, ...) float view: the
     # norm is a plain dot product and the division a real one, as in the
     # (N, 2) form (a complex division would multiply by 1/norm instead).
-    flat = (z - z.mean(axis=1, keepdims=True)).view(float)
+    # Centered twice, as in project_to_preshape.
+    centered = z - z.mean(axis=1, keepdims=True)
+    flat = (centered - centered.mean(axis=1, keepdims=True)).view(float)
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     ok = norms >= DEGENERACY_EPS
     pre = (flat / np.where(ok, norms, np.inf)[:, None]).view(complex)

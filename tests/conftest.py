@@ -184,9 +184,9 @@ def oracle_assign_stragglers(result, store, block, params) -> dict[int, int]:
         except DegenerateTrajectory:
             continue
         dists = []
-        for sm in result.means:
+        for mean in result.means:
             try:
-                m_pre = project_to_preshape(sm.config[lo - block.start : hi - block.start])
+                m_pre = project_to_preshape(mean[lo - block.start : hi - block.start])
             except DegenerateTrajectory:
                 dists.append(np.inf)
                 continue
@@ -199,11 +199,13 @@ def oracle_assign_stragglers(result, store, block, params) -> dict[int, int]:
 
 
 def oracle_segment_block(store, block, params) -> BlockResult:
-    """``segment_block`` with its former per-member loop.
+    """``segment_block`` as its former multi-round, per-member loop.
 
     The representatives are those of ``select_representatives``. Each is
-    its own ``PreShape``; after GPA every member is rebuilt with
-    ``back_transform`` and re-projected one at a time, and stragglers go
+    its own ``PreShape``. Every one of ``outer_iters`` rounds clusters
+    them, aligns each cluster with GPA, smooths its mean with
+    ``stabilize_mean``, rebuilds every member with ``back_transform`` and
+    re-projects it; the last round's smoothed means label the stragglers
     through ``oracle_assign_stragglers``.
     """
     reps = select_representatives(store, block, params)
@@ -222,7 +224,7 @@ def oracle_segment_block(store, block, params) -> BlockResult:
             idx = assignment.members(c)
             gpa = gpa_align(shapes, idx)
             smean = stabilize_mean(gpa.mean, params.lam, params.jacobi_iters)
-            means.append(smean)
+            means.append(smean.config)
             for i, cfg, rot in zip(idx, back_transform(smean, gpa.rotations), gpa.rotations):
                 new_shapes[i] = project_to_preshape(cfg)
                 rotations[reps[i]] = rot

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +122,17 @@ class TestTrajectoryFile:
             parse_trajectories(path)
         assert info.value.line == 2
 
+    def test_non_utf8_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"frames":3,"width":100,"height":100}\n'
+            b'{"id":0,"start":0,"points":[[1,1],[2,1],[3,1]]}\n'
+            b'{"id":1,"start":0,"points":[[1,1],[\xff,1],[3,1]]}\n'
+        )
+        with pytest.raises(ParseError) as info:
+            parse_trajectories(path)
+        assert info.value.line == 3
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_coordinate_is_parse_error(self, tmp_path, value):
         path = tmp_path / "t.jsonl"
@@ -224,6 +238,13 @@ class TestLabelFile:
         path.write_text('{"type":"fused","labels":{"0":2},"foreground_cluster":1}\n')
         with pytest.raises(ParseError):
             parse_labels(path)
+
+    def test_non_utf8_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_bytes(b'{"type":"params","params":{}}\n{"type":"fused","labels":{"\xe9":1}}\n')
+        with pytest.raises(ParseError) as info:
+            parse_labels(path)
+        assert info.value.line == 2
 
 
 class TestCli:
@@ -556,6 +577,26 @@ class TestCli:
         assert run_cli(base + ["--output", str(parallel), "--jobs", "4"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_non_utf8_input_is_one_line_pipeline_error(self, tmp_path, capsys):
+        traj = tmp_path / "t.jsonl"
+        traj.write_bytes(
+            b'{"frames":3,"width":100,"height":100}\n{"id":0,"start":0,"points":[[1,\xff]]}\n'
+        )
+        code = run_cli(["segment", "--input", str(traj), "--output", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "jitterseg segment: parse stage failed: line 2: not UTF-8 text\n"
+        )
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        traj, _ = self._synth(tmp_path, 0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"omega": \xff}')
+        argv = ["segment", "--config", str(cfg), "--input", str(traj)]
+        argv += ["--output", str(tmp_path / "o.jsonl")]
+        assert run_cli(argv) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_config_file_supplies_parameters(self, tmp_path):
         traj, gt = self._synth(tmp_path, 0.0)
         cfg = tmp_path / "cfg.json"
@@ -774,3 +815,59 @@ class TestParamsAgree:
                 assert shown is None, flag
             else:
                 assert shown is not None and shown.group(1) == str(default), flag
+
+
+def _edits(base: bytes):
+    """``base`` with up to four edits, each deleting up to four bytes at a
+    position and inserting up to six arbitrary bytes there."""
+    edit = st.tuples(st.integers(0, len(base)), st.integers(0, 4), st.binary(max_size=6))
+
+    def apply(edits):
+        out = base
+        for pos, n_del, ins in edits:
+            pos = min(pos, len(out))
+            out = out[:pos] + ins + out[pos + n_del :]
+        return out
+
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def _valid_files() -> tuple[bytes, bytes]:
+    """A small scene's trajectory file and its segment output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        traj, labels = Path(tmp, "t.jsonl"), Path(tmp, "l.jsonl")
+        scene = generate_scene(SceneParams(n_bg=12, n_fg=6, n_frames=12, sigma=0.1, seed=2))
+        serialize_trajectories(scene.store, traj)
+        assert run_cli(["segment", "--input", str(traj), "--output", str(labels)]) == 0
+        return traj.read_bytes(), labels.read_bytes()
+
+
+_TRAJ_BYTES, _LABEL_BYTES = _valid_files()
+
+
+class TestAnyInputFile:
+    """No file content makes ``segment`` or ``eval --pred`` raise: every
+    run returns exit code 0, 1 or 2. Inputs are arbitrary bytes or a valid
+    file with a few arbitrary byte edits, which reach past the first line."""
+
+    @staticmethod
+    def _run(data: bytes, *argv: str) -> int:
+        """Run ``argv`` in a fresh directory holding ``data`` as in.jsonl
+        and the valid label file as gt.jsonl."""
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "in.jsonl").write_bytes(data)
+            Path(tmp, "gt.jsonl").write_bytes(_LABEL_BYTES)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return run_cli([str(Path(tmp, a)) if a.endswith(".jsonl") else a for a in argv])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(st.binary(max_size=200), _edits(_TRAJ_BYTES)))
+    def test_segment(self, data):
+        code = self._run(data, "segment", "--input", "in.jsonl", "--output", "out.jsonl")
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(st.binary(max_size=200), _edits(_LABEL_BYTES)))
+    def test_eval_pred(self, data):
+        assert self._run(data, "eval", "--pred", "in.jsonl", "--gt", "gt.jsonl") in (0, 1, 2)

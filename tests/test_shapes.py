@@ -23,6 +23,7 @@ from jitterseg.errors import (
     JittersegError,
     ShapeMismatch,
 )
+from jitterseg.shapes import as_complex, preshape_rows
 
 from conftest import grid_search_rotation, random_preshape, random_trajectory_points, rotation_matrix
 
@@ -87,6 +88,15 @@ class TestProjectToPreshape:
     def test_degenerate_config(self):
         with pytest.raises(DegenerateTrajectory):
             project_to_preshape(np.zeros((4, 2)))
+
+    def test_coinciding_points_away_from_the_origin(self):
+        # One centering pass leaves these 38 equal points a residue above
+        # DEGENERACY_EPS, which once failed the centering check.
+        still = np.tile([497.0771931790707, 220.68118837909458], (38, 1))
+        with pytest.raises(DegenerateTrajectory):
+            project_to_preshape(still)
+        pre, norms = preshape_rows(as_complex(still)[None])
+        assert norms.tolist() == [0.0] and not pre.any()
 
 
 class TestOptimalRotation:

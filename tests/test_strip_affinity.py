@@ -129,7 +129,7 @@ class TestSerialEqualsParallel:
             assert a.labels == b.labels
             assert len(a.means) == len(b.means)
             for ma, mb in zip(a.means, b.means):
-                assert ma.config.tobytes() == mb.config.tobytes()
+                assert ma.tobytes() == mb.tobytes()
             assert a.rotations.keys() == b.rotations.keys()
             for rid in a.rotations:
                 assert np.array_equal(a.rotations[rid].matrix, b.rotations[rid].matrix)
