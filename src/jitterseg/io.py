@@ -264,7 +264,11 @@ def parse_labels(path) -> LabelFileData:
             params = rec.get("params")
         elif kind == "block":
             rng = rec.get("range")
-            if not isinstance(rng, list) or len(rng) != 2 or not all(_is_int(v) for v in rng):
+            if (
+                not isinstance(rng, list)
+                or len(rng) != 2
+                or not all(_is_int(v) for v in rng)
+            ):
                 raise ParseError("'range' must be [start, end]", lineno)
             blocks.append(((rng[0], rng[1]), _parse_label_map(rec.get("labels"), lineno)))
         elif kind == "fused":

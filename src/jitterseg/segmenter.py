@@ -22,9 +22,9 @@ import numpy as np
 
 from .alignment import (
     DEFAULT_JACOBI_ITERS,
-    back_transform,  # noqa: F401  (see below)
+    back_transform,  # noqa: F401  (bench/tracing.py wraps it here)
     gpa_align,
-    stabilize_mean,  # noqa: F401  (see below)
+    stabilize_mean,  # noqa: F401  (bench/tracing.py wraps it here)
 )
 from .clustering import DEFAULT_OMEGA, build_affinity, spectral_cluster
 from .errors import (
@@ -43,17 +43,12 @@ from .shapes import (
     Trajectory,
     as_complex,
     preshape_rows,
-    procrustes_distance,  # noqa: F401  (see below)
+    procrustes_distance,  # noqa: F401  (bench/tracing.py wraps it here)
     project_rows,
-    project_to_preshape,  # noqa: F401  (see below)
+    project_to_preshape,  # noqa: F401  (bench/tracing.py wraps it here)
     rotation_from_phase,
     unit_phase,
 )
-
-# stabilize_mean, back_transform, procrustes_distance and
-# project_to_preshape are not called here. They stay importable from this
-# module because the per-layer tracer (bench/tracing.py) looks them up
-# here by name.
 
 # Slack for fraction thresholds so exact ratios (e.g. 10 of 100 at 0.1)
 # are not lost to floating-point representation of the fraction.
@@ -311,12 +306,13 @@ def select_representatives(
     the cell center wins; distance ties go to the lowest id. A trajectory
     that does not move over the block (centered norm below
     ``DEGENERACY_EPS``) has no shape and is never chosen; its cell goes to
-    the next-nearest one, and a one-frame block has no representatives.
-    Ids are returned in ascending order.
+    the next-nearest one. A block of one or two frames has no
+    representatives: any two points have the same shape, so rounding
+    would decide the split. Ids are returned in ascending order.
     """
     ids = np.array(block.spanning_ids, dtype=np.int64)
     reps: list[int] = []
-    if ids.size and block.length >= 2:
+    if ids.size and block.length >= 3:
         width, height = store.frame_size
         g = params.grid_cells
         cell_w = width / g

@@ -158,10 +158,6 @@ class Rotation2D:
         return float(np.arctan2(self.matrix[1, 0], self.matrix[0, 0]))
 
 
-def identity_rotation() -> Rotation2D:
-    return Rotation2D(np.eye(2))
-
-
 def project_to_preshape(config: np.ndarray) -> PreShape:
     """Re-center the rows of ``config`` and rescale to unit Frobenius norm.
 
@@ -234,7 +230,6 @@ def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Work on the rows' interleaved (x0, y0, x1, y1, ...) float view: the
     # norm is a plain dot product and the division a real one, as in the
     # (N, 2) form (a complex division would multiply by 1/norm instead).
-    # Centered twice, as in project_to_preshape.
     centered = z - z.mean(axis=1, keepdims=True)
     flat = (centered - centered.mean(axis=1, keepdims=True)).view(float)
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))

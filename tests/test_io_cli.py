@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import re
 import tempfile
@@ -832,17 +833,16 @@ def _edits(base: bytes):
     return st.lists(edit, min_size=1, max_size=4).map(apply)
 
 
+@functools.cache
 def _valid_files() -> tuple[bytes, bytes]:
-    """A small scene's trajectory file and its segment output."""
+    """A small scene's trajectory file and its segment output, built on
+    first use so that a failing ``segment`` fails the tests using them."""
     with tempfile.TemporaryDirectory() as tmp:
         traj, labels = Path(tmp, "t.jsonl"), Path(tmp, "l.jsonl")
         scene = generate_scene(SceneParams(n_bg=12, n_fg=6, n_frames=12, sigma=0.1, seed=2))
         serialize_trajectories(scene.store, traj)
         assert run_cli(["segment", "--input", str(traj), "--output", str(labels)]) == 0
         return traj.read_bytes(), labels.read_bytes()
-
-
-_TRAJ_BYTES, _LABEL_BYTES = _valid_files()
 
 
 class TestAnyInputFile:
@@ -856,18 +856,18 @@ class TestAnyInputFile:
         and the valid label file as gt.jsonl."""
         with tempfile.TemporaryDirectory() as tmp:
             Path(tmp, "in.jsonl").write_bytes(data)
-            Path(tmp, "gt.jsonl").write_bytes(_LABEL_BYTES)
+            Path(tmp, "gt.jsonl").write_bytes(_valid_files()[1])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 return run_cli([str(Path(tmp, a)) if a.endswith(".jsonl") else a for a in argv])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.one_of(st.binary(max_size=200), _edits(_TRAJ_BYTES)))
+    @given(st.one_of(st.binary(max_size=200), st.deferred(lambda: _edits(_valid_files()[0]))))
     def test_segment(self, data):
         code = self._run(data, "segment", "--input", "in.jsonl", "--output", "out.jsonl")
         assert code in (0, 1, 2)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.one_of(st.binary(max_size=200), _edits(_LABEL_BYTES)))
+    @given(st.one_of(st.binary(max_size=200), st.deferred(lambda: _edits(_valid_files()[1]))))
     def test_eval_pred(self, data):
         assert self._run(data, "eval", "--pred", "in.jsonl", "--gt", "gt.jsonl") in (0, 1, 2)

@@ -245,6 +245,18 @@ class TestSelectRepresentatives:
         assert set(fused) >= {t.id for t in scene.store.trajectories}
         assert (9999 in fused) == (jitter > 0)
 
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_blocks_under_three_frames_have_none(self, length):
+        # Any two points have the same shape, so a 2-frame block has
+        # nothing to split but rounding.
+        store = TrajectoryStore(tuple(_track(i, 0, 20, x0=40.0 * i + 5.0) for i in range(8)), 20, FRAME)
+        block = Block(17, 17 + length, tuple(range(8)), ())
+        if length == 3:
+            assert select_representatives(store, block, SegmenterParams()) == list(range(8))
+        else:
+            with pytest.raises(TooFewRepresentatives, match="^0 representatives"):
+                select_representatives(store, block, SegmenterParams())
+
     def test_too_few_representatives(self):
         # Two spanning trajectories in the same cell collapse to one rep.
         trajs = (
