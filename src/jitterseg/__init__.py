@@ -7,13 +7,6 @@ benchmark and a CLI (``jitterseg segment | synth | eval``).
 """
 
 from . import errors
-from .alignment import GpaResult, StabilizedMean, back_transform, gpa_align, stabilize_mean
-from .clustering import (
-    AffinityMatrix,
-    ClusterAssignment,
-    build_affinity,
-    spectral_cluster,
-)
 from .io import (
     LabelFileData,
     parse_labels,
@@ -21,72 +14,50 @@ from .io import (
     serialize_labels,
     serialize_trajectories,
 )
-from .segmenter import (
-    Block,
-    BlockResult,
-    SegmenterParams,
-    TrajectoryStore,
+from .segmenter import Block, BlockResult, SegmenterParams, TrajectoryStore, segment_store
+from .shapes import Trajectory
+from .synth import LabeledScene, Metrics, SceneParams, evaluate, generate_scene, metrics_from_labels
+
+# The pipeline's stages and shape primitives stay importable from the
+# package for tests and experiments, but are not part of ``__all__``.
+from .alignment import back_transform, gpa_align, stabilize_mean  # noqa: F401
+from .clustering import (  # noqa: F401
+    AffinityMatrix,
+    ClusterAssignment,
+    build_affinity,
+    spectral_cluster,
+)
+from .segmenter import (  # noqa: F401
     assign_stragglers,
     fuse_blocks,
     partition_blocks,
     segment_block,
-    segment_store,
     select_representatives,
 )
-from .shapes import (
+from .shapes import (  # noqa: F401
     PreShape,
     Rotation2D,
-    Trajectory,
     optimal_rotation,
     procrustes_distance,
     project_to_preshape,
     to_preshape,
 )
-from .synth import (
-    LabeledScene,
-    Metrics,
-    SceneParams,
-    evaluate,
-    fuse_jitter,
-    generate_scene,
-    metrics_from_labels,
-)
+from .synth import fuse_jitter  # noqa: F401
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
     "Trajectory",
-    "PreShape",
-    "Rotation2D",
-    "to_preshape",
-    "project_to_preshape",
-    "optimal_rotation",
-    "procrustes_distance",
-    "AffinityMatrix",
-    "ClusterAssignment",
-    "build_affinity",
-    "spectral_cluster",
-    "GpaResult",
-    "StabilizedMean",
-    "gpa_align",
-    "stabilize_mean",
-    "back_transform",
     "TrajectoryStore",
-    "Block",
     "SegmenterParams",
+    "Block",
     "BlockResult",
-    "partition_blocks",
-    "select_representatives",
-    "segment_block",
-    "assign_stragglers",
-    "fuse_blocks",
     "segment_store",
     "SceneParams",
     "LabeledScene",
     "Metrics",
     "generate_scene",
-    "fuse_jitter",
     "evaluate",
     "metrics_from_labels",
     "LabelFileData",

@@ -36,15 +36,12 @@ class AffinityMatrix:
     """K x K symmetric matrix of exponentiated negative Procrustes distances."""
 
     values: np.ndarray
-    omega: float
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
         v.flags.writeable = False
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvalidAffinity("values must be a square matrix")
-        if not self.omega > 0:
-            raise InvalidParameter("omega must be > 0")
         if not np.all((v > 0.0) & (v <= 1.0)):
             raise InvalidAffinity("affinities must lie in (0, 1]")
         if np.max(np.abs(v - v.T)) > 1e-12:
@@ -131,7 +128,7 @@ def build_affinity(
             f"for Procrustes distances from {d_min:.6g} up"
         )
     np.fill_diagonal(values, 1.0)
-    return AffinityMatrix(values, omega)
+    return AffinityMatrix(values)
 
 
 def _spectral_embedding(values: np.ndarray, m: int) -> np.ndarray:

@@ -6,8 +6,11 @@ trajectory ``{"id": i, "start": s, "points": [[x, y], ...]}``.
 Coordinates survive a round trip bit-for-bit (shortest-repr floats).
 
 A label file holds an optional ``params`` record (the complete effective
-parameter set of the run), one ``block`` record per processed block, and
-a final ``fused`` record with the global labels (foreground = 1).
+parameter set of the run), one ``block`` record per processed block
+(its frame range ``[start, end)`` with ``0 <= start < end`` and its
+labels), and a final ``fused`` record with the global labels. The fused
+record is always written with ``"foreground_cluster":1`` (foreground is
+label 1); the reader ignores that key.
 """
 
 from __future__ import annotations
@@ -199,7 +202,6 @@ class LabelFileData:
     params: dict | None
     blocks: tuple[tuple[tuple[int, int], dict[int, int]], ...]
     fused: dict[int, int]
-    foreground_cluster: int = 1
 
 
 def _labels_record(labels: Mapping[int, int]) -> dict:
@@ -255,7 +257,6 @@ def parse_labels(path) -> LabelFileData:
     params = None
     blocks = []
     fused = None
-    foreground = 1
     for lineno, rec in _records(path):
         if not isinstance(rec, dict) or "type" not in rec:
             raise ParseError("record needs a 'type' field", lineno)
@@ -270,12 +271,13 @@ def parse_labels(path) -> LabelFileData:
                 or not all(_is_int(v) for v in rng)
             ):
                 raise ParseError("'range' must be [start, end]", lineno)
+            if not 0 <= rng[0] < rng[1]:
+                raise ParseError("'range' must satisfy 0 <= start < end", lineno)
             blocks.append(((rng[0], rng[1]), _parse_label_map(rec.get("labels"), lineno)))
         elif kind == "fused":
             fused = _parse_label_map(rec.get("labels"), lineno)
-            foreground = rec.get("foreground_cluster", 1)
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
     if fused is None:
         raise ParseError("missing fused record", 1)
-    return LabelFileData(params, tuple(blocks), fused, foreground)
+    return LabelFileData(params, tuple(blocks), fused)

@@ -5,8 +5,10 @@ span each block entirely. Within a block, one spanning trajectory per
 occupied grid cell is chosen as a representative; the representatives
 are clustered once by their pairwise Procrustes affinity and each
 cluster is aligned to its GPA mean, after which trajectories that cover
-enough of the block are labeled by their nearest cluster mean. Per-block
-labels are finally reconciled into one foreground/background labeling.
+enough of the block are labeled by their nearest cluster mean. A block
+yields only these labels and the two means. Per-block labels are
+finally reconciled into one foreground/background labeling, passing
+over blocks that were skipped.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -39,14 +41,12 @@ from .errors import (
 )
 from .shapes import (
     DEGENERACY_EPS,
-    Rotation2D,
     Trajectory,
     as_complex,
     preshape_rows,
     procrustes_distance,  # noqa: F401  (bench/tracing.py wraps it here)
     project_rows,
     project_to_preshape,  # noqa: F401  (bench/tracing.py wraps it here)
-    rotation_from_phase,
     unit_phase,
 )
 
@@ -162,18 +162,20 @@ class TrajectoryStore:
 
 @dataclass(frozen=True)
 class Block:
-    """A contiguous frame interval [start, end) processed as one unit."""
+    """A contiguous frame interval [start, end) processed as one unit.
+
+    ``spanning_ids`` are the trajectories that cover every frame of it,
+    in ascending order. Which other trajectories cover enough of it to be
+    labeled is decided by ``assign_stragglers``.
+    """
 
     start: int
     end: int
     spanning_ids: tuple[int, ...]
-    partial_ids: tuple[int, ...]
 
     def __post_init__(self):
         if self.end <= self.start:
             raise InvalidBlock("block frame range is empty")
-        if set(self.spanning_ids) & set(self.partial_ids):
-            raise InvalidBlock("spanning_ids and partial_ids overlap")
 
     @property
     def length(self) -> int:
@@ -234,24 +236,17 @@ class SegmenterParams:
 
 @dataclass(frozen=True)
 class BlockResult:
-    """Labels, cluster means, and rotations for one block.
+    """Labels and cluster means for one block.
 
-    ``means`` holds each cluster's GPA mean, an (N, 2) array over the
-    block's frames (read-only, as ``gpa_align`` returns it).
+    ``labels`` maps trajectory id to cluster index (0 or 1) for the
+    representatives and the stragglers. ``means`` holds each cluster's
+    GPA mean, an (N, 2) array over the block's frames (read-only, as
+    ``gpa_align`` returns it). A skipped block has neither.
     """
 
     block: Block
     labels: dict[int, int]
     means: tuple[np.ndarray, ...]
-    rotations: dict[int, Rotation2D] = field(default_factory=dict)
-
-
-def _make_block(store: TrajectoryStore, start: int, end: int, params: SegmenterParams) -> Block:
-    ids, starts, ends = store.frame_spans
-    spanning = (starts <= start) & (ends >= end)
-    overlap = np.maximum(np.minimum(end, ends) - np.maximum(start, starts), 0)
-    partial = ~spanning & (overlap / (end - start) >= params.span_threshold - _FRACTION_EPS)
-    return Block(start, end, tuple(ids[spanning].tolist()), tuple(ids[partial].tolist()))
 
 
 def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Block]:
@@ -267,7 +262,7 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
     if total == 0:
         raise InvalidParameter("store has no trajectories")
     need = params.min_span_fraction * total - _FRACTION_EPS
-    _, starts, ends = store.frame_spans
+    ids, starts, ends = store.frame_spans
     blocks = []
     s = 0
     while s < store.n_frames_total:
@@ -285,7 +280,8 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
             )
         # The count never grows with e, so the valid ends are a prefix.
         e = e_min + int(np.count_nonzero(valid)) - 1
-        blocks.append(_make_block(store, s, e, params))
+        spanning_ids = ids[(starts <= s) & (ends >= e)]
+        blocks.append(Block(s, e, tuple(spanning_ids.tolist())))
         s = e
     return blocks
 
@@ -347,19 +343,9 @@ def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams)
     reps = select_representatives(store, block, params)
     z = project_rows(_windows(store, reps, block.start, block.end))
     assignment = spectral_cluster(build_affinity(z, params.omega), params.m, params.seed)
-    phases = np.empty(len(reps), dtype=complex)
-    means = []
-    for c in range(params.m):
-        idx = assignment.members(c)
-        gpa = gpa_align(z, idx)
-        means.append(gpa.mean)
-        phases[idx] = gpa.phases
-
-    labels = dict(zip(reps, assignment.labels))
-    rotations = {rid: rotation_from_phase(w) for rid, w in zip(reps, phases)}
-    partial = BlockResult(block, labels, tuple(means), rotations)
-    labels = assign_stragglers(partial, store, block, params)
-    return BlockResult(block, labels, tuple(means), rotations)
+    means = tuple(gpa_align(z, assignment.members(c)).mean for c in range(params.m))
+    result = BlockResult(block, dict(zip(reps, assignment.labels)), means)
+    return replace(result, labels=assign_stragglers(result, store, block, params))
 
 
 def assign_stragglers(
@@ -456,9 +442,11 @@ def _foreground_flip(result: BlockResult, store: TrajectoryStore, flip: bool) ->
 def fuse_blocks(results: Sequence[BlockResult], store: TrajectoryStore) -> dict[int, int]:
     """Reconcile per-block labels into one global labeling, foreground = 1.
 
-    Consecutive blocks vote on cluster correspondence through their
-    shared labeled trajectories: if fewer than half agree, the later
-    block's labels are flipped. Runs of blocks with no shared
+    Only labeled blocks take part: a skipped block (no labels) is passed
+    over, so the labeled blocks on either side of it vote directly.
+    Consecutive labeled blocks vote on cluster correspondence through
+    their shared labeled trajectories: if fewer than half agree, the
+    later block's labels are flipped. Runs of blocks with no shared
     trajectories are oriented independently (with a warning), each run
     normalized so the cluster with the smaller first-frame bounding box
     in its first block is reported as foreground (label 1). A trajectory
@@ -470,6 +458,9 @@ def fuse_blocks(results: Sequence[BlockResult], store: TrajectoryStore) -> dict[
     for r in results:
         if any(v not in (0, 1) for v in r.labels.values()):
             raise InvalidParameter("fuse_blocks requires binary labels")
+    results = [r for r in results if r.labels]
+    if not results:
+        return {}
 
     flips = [False]
     segments = [[0]]

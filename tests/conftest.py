@@ -219,20 +219,18 @@ def oracle_segment_block(store, block, params) -> BlockResult:
         assignment = spectral_cluster(build_affinity(shapes, params.omega), params.m, params.seed)
         new_shapes = list(shapes)
         means = []
-        rotations = {}
         for c in range(params.m):
             idx = assignment.members(c)
             gpa = gpa_align(shapes, idx)
             smean = stabilize_mean(gpa.mean, params.lam, params.jacobi_iters)
             means.append(smean.config)
-            for i, cfg, rot in zip(idx, back_transform(smean, gpa.rotations), gpa.rotations):
+            for i, cfg in zip(idx, back_transform(smean, gpa.rotations)):
                 new_shapes[i] = project_to_preshape(cfg)
-                rotations[reps[i]] = rot
         shapes = new_shapes
     labels = {reps[i]: assignment.labels[i] for i in range(len(reps))}
-    partial = BlockResult(block, labels, tuple(means), rotations)
+    partial = BlockResult(block, labels, tuple(means))
     labels = oracle_assign_stragglers(partial, store, block, params)
-    return BlockResult(block, labels, tuple(means), rotations)
+    return BlockResult(block, labels, tuple(means))
 
 
 def _oracle_is_number(v) -> bool:

@@ -123,7 +123,7 @@ class TestSpectralCluster:
             values[start : start + size, start : start + size] = within
             start += size
         np.fill_diagonal(values, 1.0)
-        return AffinityMatrix(values, 0.02)
+        return AffinityMatrix(values)
 
     def test_separates_exact_blocks(self):
         afy = self._block_affinity([7, 5])
@@ -135,7 +135,7 @@ class TestSpectralCluster:
 
     def test_two_points_two_clusters(self):
         # Forced one-per-cluster, whatever the affinity says.
-        afy = AffinityMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]), 0.02)
+        afy = AffinityMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]))
         assign = spectral_cluster(afy, 2, seed=3)
         assert sorted(assign.labels) == [0, 1]
 
@@ -182,7 +182,7 @@ class TestSpectralCluster:
 
         degenerate = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
         monkeypatch.setattr(mod, "_spectral_embedding", lambda values, m: degenerate)
-        afy = AffinityMatrix(np.ones((8, 8)), 0.02)
+        afy = AffinityMatrix(np.ones((8, 8)))
         with pytest.raises(ClusterCollapse):
             spectral_cluster(afy, 3, seed=0)
 
@@ -217,26 +217,26 @@ class TestAffinityType:
     def test_rejects_asymmetric(self):
         v = np.array([[1.0, 0.5], [0.6, 1.0]])
         with pytest.raises(InvalidAffinity):
-            AffinityMatrix(v, 0.02)
+            AffinityMatrix(v)
 
     def test_rejects_bad_diagonal(self):
         v = np.array([[0.9, 0.5], [0.5, 1.0]])
         with pytest.raises(InvalidAffinity):
-            AffinityMatrix(v, 0.02)
+            AffinityMatrix(v)
 
     def test_rejects_out_of_range(self):
         v = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidAffinity):
-            AffinityMatrix(v, 0.02)
+            AffinityMatrix(v)
 
     def test_rejects_nan(self):
         v = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(InvalidAffinity):
-            AffinityMatrix(v, 0.02)
+            AffinityMatrix(v)
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidAffinity):
-            AffinityMatrix(np.ones((2, 3)), 0.02)
+            AffinityMatrix(np.ones((2, 3)))
 
     def test_errors_are_value_errors(self):
         assert issubclass(InvalidAffinity, JittersegError)

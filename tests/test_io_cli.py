@@ -226,7 +226,19 @@ class TestLabelFile:
         (rng_0, labels_0) = data.blocks[0]
         assert rng_0 == results[0].block.frame_range
         assert labels_0 == results[0].labels
-        assert data.foreground_cluster == 1
+        assert path.read_text().splitlines()[-1].endswith(',"foreground_cluster":1}')
+
+    @pytest.mark.parametrize("rng", [[5, 2], [4, 4], [-3, 4]])
+    def test_bad_block_range(self, tmp_path, rng):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(
+            f'{{"type":"params","params":{{}}}}\n{{"type":"block","range":{rng},"labels":{{}}}}\n'
+            '{"type":"fused","labels":{}}\n'
+        )
+        with pytest.raises(ParseError, match="0 <= start < end") as info:
+            parse_labels(path)
+        assert info.value.line == 2
+        assert run_cli(["eval", "--pred", str(path), "--gt", str(path)]) == 1
 
     def test_missing_fused_record(self, tmp_path):
         path = tmp_path / "labels.jsonl"

@@ -77,7 +77,7 @@ def straggler_cases(draw):
     n_frames = draw(st.integers(4, 40))
     start = draw(st.integers(0, n_frames - 2))
     end = draw(st.integers(start + 2, n_frames))
-    block = Block(start, end, (), ())
+    block = Block(start, end, ())
     trajs = []
     for tid in range(draw(st.integers(1, 40))):
         t_start = int(rng.integers(0, n_frames - 1))
@@ -115,7 +115,7 @@ class TestStragglersOracle:
         trajs.append(Trajectory(6, 0, np.full((20, 2), 50.0)))
         trajs.append(Trajectory(7, 3, _walk(rng, 15)))
         store = TrajectoryStore(tuple(trajs), 20, FRAME)
-        block = Block(0, 20, (), ())
+        block = Block(0, 20, ())
         means = tuple(_mean_configs(kind, 20, rng))
         return BlockResult(block, {0: 0}, means), store, block, SegmenterParams()
 
@@ -179,29 +179,26 @@ def block_cases(draw, frames=(8, 36), block_lens=(60,)):
     return store, params
 
 
-# How far a later round of the oracle may move means and rotations: it
-# aligns rebuilt copies of one mean, and a cluster whose copies already
-# spread less than ``GPA_TOL`` keeps their identity rotations, which
-# leaves each member off by up to about ``sqrt(GPA_TOL)``.
+# How far a later round of the oracle may move the means: it aligns
+# rebuilt copies of one mean, and a cluster whose copies already spread
+# less than ``GPA_TOL`` keeps their identity rotations, which leaves each
+# member off by up to about ``sqrt(GPA_TOL)``.
 LATER_ROUND_ATOL = 10 * math.sqrt(GPA_TOL)
 
 
-def _assert_same_alignment(got, want, atol_mean, atol_rot):
+def _assert_same_means(got, want, atol):
     # The oracle smooths each centered mean, which only rescales it, so
     # means are compared on the pre-shape sphere.
     assert len(got.means) == len(want.means)
     for g, w in zip(got.means, want.means):
         g_pre, w_pre = (preshape_rows(as_complex(m)[None])[0] for m in (g, w))
-        np.testing.assert_allclose(g_pre, w_pre, rtol=0, atol=atol_mean)
-    assert got.rotations.keys() == want.rotations.keys()
-    for rid, rot in got.rotations.items():
-        np.testing.assert_allclose(rot.matrix, want.rotations[rid].matrix, rtol=0, atol=atol_rot)
+        np.testing.assert_allclose(g_pre, w_pre, rtol=0, atol=atol)
 
 
 def _assert_same_block(store, params):
-    """Labels equal the oracle's at the drawn round count. Means and
-    rotations equal its first round's to rounding and its last round's
-    to ``LATER_ROUND_ATOL``."""
+    """Labels equal the oracle's at the drawn round count. Means equal
+    its first round's to rounding and its last round's to
+    ``LATER_ROUND_ATOL``."""
     try:
         block = partition_blocks(store, params)[0]
         want = oracle_segment_block(store, block, params)
@@ -212,8 +209,8 @@ def _assert_same_block(store, params):
     got = segment_block(store, block, params)
     assert got.labels == want.labels
     first = oracle_segment_block(store, block, replace(params, outer_iters=1))
-    _assert_same_alignment(got, first, 1e-12, 1e-9)
-    _assert_same_alignment(got, want, LATER_ROUND_ATOL, LATER_ROUND_ATOL)
+    _assert_same_means(got, first, 1e-12)
+    _assert_same_means(got, want, LATER_ROUND_ATOL)
 
 
 def _oracle_fused(store, params) -> dict[int, int]:
@@ -266,13 +263,15 @@ class TestSegmentBlockOracle:
     @pytest.mark.parametrize("outer_iters", [1, 3])
     def test_two_frame_trailing_block(self, outer_iters):
         # Blocks [0, 20), [20, 40) and [40, 42). Any two points have one
-        # shape, so the last block is skipped rather than split by rounding.
+        # shape, so the last block is skipped rather than split by rounding;
+        # fusion passes over it, so no block boundary lacks shared tracks.
         scene = generate_scene(SceneParams(n_bg=20, n_fg=8, n_frames=42, sigma=0.15, seed=2))
         params = SegmenterParams(outer_iters=outer_iters, max_block_len=20, seed=2)
         blocks = partition_blocks(scene.store, params)
         assert [b.frame_range for b in blocks] == [(0, 20), (20, 40), (40, 42)]
-        with pytest.warns(BlockSkipped, match=r"0 representatives in block \(40, 42\)"):
+        with pytest.warns(BlockSkipped, match=r"0 representatives in block \(40, 42\)") as record:
             results, _ = segment_store(scene.store, params)
+        assert [w.category for w in record] == [BlockSkipped]
         assert [bool(r.labels) for r in results] == [True, True, False]
         with pytest.raises(TooFewRepresentatives):
             oracle_segment_block(scene.store, blocks[2], params)

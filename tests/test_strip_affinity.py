@@ -130,6 +130,3 @@ class TestSerialEqualsParallel:
             assert len(a.means) == len(b.means)
             for ma, mb in zip(a.means, b.means):
                 assert ma.tobytes() == mb.tobytes()
-            assert a.rotations.keys() == b.rotations.keys()
-            for rid in a.rotations:
-                assert np.array_equal(a.rotations[rid].matrix, b.rotations[rid].matrix)
