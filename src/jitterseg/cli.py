@@ -54,7 +54,7 @@ _SEGMENT = _from_params(
     _Option("omega", "affinity bandwidth"),
     _Option("lambda", "stabilization weight; recorded, does not affect labels", field="lam"),
     _Option("outer_iters", "stabilize-and-cluster rounds; recorded, does not affect labels"),
-    _Option("jacobi_iters", "smoothing sweeps per round; recorded, does not affect labels"),
+    _Option("jacobi_iters", "Jacobi smoothing sweeps; recorded, does not affect labels"),
     _Option("m", None),
     _Option("span_threshold", "late-label coverage"),
     _Option("min_span_fraction", "spanning fraction per block"),

@@ -3,9 +3,9 @@
 The affinity between two trajectories is the exponentiated negative
 Procrustes distance between their pre-shapes: trajectories that move
 together sit close in shape space and get affinity near 1. Clustering
-uses the normalized symmetric Laplacian, the eigenvectors of its m
-smallest eigenvalues, row normalization, and a deterministic seeded
-k-means.
+is a two-way cut (the moving object and its background): the
+eigenvectors of the two smallest eigenvalues of the normalized symmetric
+Laplacian, row normalization, and a deterministic seeded 2-means.
 """
 
 from __future__ import annotations
@@ -57,18 +57,14 @@ class AffinityMatrix:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Cluster index per input shape; every index in {0..m-1} occurs."""
+    """Cluster index per input shape; both 0 and 1 occur, nothing else."""
 
     labels: tuple[int, ...]
-    m: int
 
     def __post_init__(self):
         labels = tuple(int(x) for x in self.labels)
-        present = set(labels)
-        if not present <= set(range(self.m)):
-            raise InvalidAssignment("labels outside {0..m-1}")
-        if present != set(range(self.m)):
-            raise InvalidAssignment("some cluster is empty")
+        if set(labels) != {0, 1}:
+            raise InvalidAssignment("labels must be 0 or 1, with both present")
         object.__setattr__(self, "labels", labels)
 
     def members(self, cluster: int) -> list[int]:
@@ -131,75 +127,64 @@ def build_affinity(
     return AffinityMatrix(values)
 
 
-def _spectral_embedding(values: np.ndarray, m: int) -> np.ndarray:
-    """Row-normalized eigenvectors of the m smallest Laplacian eigenvalues."""
+def _spectral_embedding(values: np.ndarray) -> np.ndarray:
+    """Row-normalized eigenvectors of the two smallest Laplacian eigenvalues.
+
+    Eigenvector signs are left as ``eigh`` returns them. Negating a column
+    negates every k-means center exactly and leaves every distance
+    bitwise the same, so no label depends on the sign.
+    """
     degrees = values.sum(axis=1)
     d_isqrt = 1.0 / np.sqrt(degrees)
     lap = np.eye(len(values)) - d_isqrt[:, None] * values * d_isqrt[None, :]
     lap = (lap + lap.T) / 2.0  # scrub rounding asymmetry before eigh
     _, vecs = np.linalg.eigh(lap)
-    emb = vecs[:, :m].copy()
-    # Eigenvector signs are arbitrary; canonicalize so the first nonzero
-    # component of each column is positive.
-    for col in range(m):
-        for x in emb[:, col]:
-            if x != 0.0:
-                if x < 0.0:
-                    emb[:, col] = -emb[:, col]
-                break
+    emb = vecs[:, :2].copy()
     norms = np.linalg.norm(emb, axis=1)
     nonzero = norms > 0.0
     emb[nonzero] /= norms[nonzero, None]
     return emb
 
 
-def _farthest_first_centers(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded first center, then repeatedly the point farthest from the set."""
-    chosen = [int(rng.integers(len(points)))]
-    dist = np.linalg.norm(points - points[chosen[0]], axis=1)
-    while len(chosen) < m:
-        nxt = int(np.argmax(dist))  # ties resolve to the lowest index
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
-    return points[chosen].copy()
+def _farthest_first_centers(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Seeded first center, then the point farthest from it."""
+    first = int(rng.integers(len(points)))
+    dist = np.linalg.norm(points - points[first], axis=1)
+    return points[[first, int(np.argmax(dist))]]  # ties resolve to the lowest index
 
 
-def _kmeans_once(points: np.ndarray, m: int, seed: int) -> np.ndarray | None:
-    """One Lloyd run; None when some cluster empties out."""
+def _kmeans_once(points: np.ndarray, seed: int) -> np.ndarray | None:
+    """One Lloyd run; None when a cluster empties out."""
     rng = np.random.default_rng(seed)
-    centers = _farthest_first_centers(points, m, rng)
+    centers = _farthest_first_centers(points, rng)
     labels = np.full(len(points), -1, dtype=int)
     for _ in range(KMEANS_MAX_ITERS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        counts = np.bincount(new_labels, minlength=m)
-        if np.any(counts == 0):
+        if np.all(new_labels == new_labels[0]):
             return None
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(m):
+        for c in (0, 1):
             centers[c] = points[labels == c].mean(axis=0)
     return labels
 
 
-def spectral_cluster(afy: AffinityMatrix, m: int, seed: int) -> ClusterAssignment:
-    """Partition the affinity graph into m non-empty clusters.
+def spectral_cluster(afy: AffinityMatrix, seed: int) -> ClusterAssignment:
+    """Cut the affinity graph into two non-empty clusters.
 
-    Deterministic for a fixed (afy, m, seed). On an empty-cluster collapse
+    Deterministic for a fixed (afy, seed). On an empty-cluster collapse
     the k-means stage is restarted with incremented seeds up to
     ``KMEANS_RESTARTS`` times before giving up.
     """
-    k = afy.size
-    if m < 2:
-        raise InvalidParameter("m must be >= 2")
-    if m > k:
-        raise InvalidParameter(f"m={m} exceeds the number of shapes ({k})")
-    emb = _spectral_embedding(afy.values, m)
+    if afy.size < 2:
+        raise InvalidParameter(f"need at least 2 shapes, got {afy.size}")
+    emb = _spectral_embedding(afy.values)
     for attempt in range(1 + KMEANS_RESTARTS):
-        labels = _kmeans_once(emb, m, seed + attempt)
+        labels = _kmeans_once(emb, seed + attempt)
         if labels is not None:
-            return ClusterAssignment(tuple(int(x) for x in labels), m)
+            return ClusterAssignment(tuple(labels.tolist()))
     raise ClusterCollapse(
         f"empty cluster persisted through {KMEANS_RESTARTS} re-seeded restarts"
     )

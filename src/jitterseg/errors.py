@@ -38,11 +38,11 @@ class InvalidRotation(JittersegError, ValueError):
 
 
 class InvalidBlock(JittersegError, ValueError):
-    """A block's frame range is empty or its spanning and partial ids overlap."""
+    """A block's frame range is empty."""
 
 
 class InvalidAssignment(JittersegError, ValueError):
-    """Cluster labels fall outside {0..m-1} or leave some cluster empty."""
+    """Cluster labels are not all 0 or 1, or leave one of the two clusters empty."""
 
 
 class ClusterCollapse(JittersegError):

@@ -254,15 +254,25 @@ def _parse_label_map(obj, lineno: int) -> dict[int, int]:
 
 
 def parse_labels(path) -> LabelFileData:
+    """Read a label file; ``ParseError`` with the line for a contradictory one.
+
+    At most one ``params`` record (a JSON object) and exactly one
+    ``fused`` record; block ranges tile the frames from 0 in order.
+    """
     params = None
     blocks = []
     fused = None
+    edge = 0
     for lineno, rec in _records(path):
         if not isinstance(rec, dict) or "type" not in rec:
             raise ParseError("record needs a 'type' field", lineno)
         kind = rec["type"]
+        if (kind == "params" and params is not None) or (kind == "fused" and fused is not None):
+            raise ParseError(f"second {kind!r} record", lineno)
         if kind == "params":
             params = rec.get("params")
+            if not isinstance(params, dict):
+                raise ParseError("'params' must be an object", lineno)
         elif kind == "block":
             rng = rec.get("range")
             if (
@@ -273,6 +283,9 @@ def parse_labels(path) -> LabelFileData:
                 raise ParseError("'range' must be [start, end]", lineno)
             if not 0 <= rng[0] < rng[1]:
                 raise ParseError("'range' must satisfy 0 <= start < end", lineno)
+            if rng[0] != edge:
+                raise ParseError(f"block ranges must tile from 0; expected start {edge}", lineno)
+            edge = rng[1]
             blocks.append(((rng[0], rng[1]), _parse_label_map(rec.get("labels"), lineno)))
         elif kind == "fused":
             fused = _parse_label_map(rec.get("labels"), lineno)

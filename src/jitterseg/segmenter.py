@@ -342,8 +342,8 @@ def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams)
     """
     reps = select_representatives(store, block, params)
     z = project_rows(_windows(store, reps, block.start, block.end))
-    assignment = spectral_cluster(build_affinity(z, params.omega), params.m, params.seed)
-    means = tuple(gpa_align(z, assignment.members(c)).mean for c in range(params.m))
+    assignment = spectral_cluster(build_affinity(z, params.omega), params.seed)
+    means = tuple(gpa_align(z, assignment.members(c)).mean for c in (0, 1))
     result = BlockResult(block, dict(zip(reps, assignment.labels)), means)
     return replace(result, labels=assign_stragglers(result, store, block, params))
 

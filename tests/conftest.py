@@ -21,7 +21,14 @@ from jitterseg import (
     spectral_cluster,
     stabilize_mean,
 )
-from jitterseg.errors import BoundsError, DegenerateTrajectory, DuplicateId, ParseError
+from jitterseg.clustering import KMEANS_MAX_ITERS, KMEANS_RESTARTS
+from jitterseg.errors import (
+    BoundsError,
+    ClusterCollapse,
+    DegenerateTrajectory,
+    DuplicateId,
+    ParseError,
+)
 from jitterseg.io import _is_int, _parse_header, _valid_points
 from jitterseg.shapes import stack_preshapes, unit_phase
 
@@ -216,7 +223,7 @@ def oracle_segment_block(store, block, params) -> BlockResult:
             project_to_preshape(t.points[block.start - t.start_frame : block.end - t.start_frame])
         )
     for _ in range(params.outer_iters):
-        assignment = spectral_cluster(build_affinity(shapes, params.omega), params.m, params.seed)
+        assignment = spectral_cluster(build_affinity(shapes, params.omega), params.seed)
         new_shapes = list(shapes)
         means = []
         for c in range(params.m):
@@ -231,6 +238,56 @@ def oracle_segment_block(store, block, params) -> BlockResult:
     partial = BlockResult(block, labels, tuple(means))
     labels = oracle_assign_stragglers(partial, store, block, params)
     return BlockResult(block, labels, tuple(means))
+
+
+def oracle_spectral_cluster(values: np.ndarray, m: int, seed: int) -> tuple[int, ...]:
+    """``spectral_cluster`` as its former m-way, sign-canonicalizing version.
+
+    Embeds with the eigenvectors of the m smallest Laplacian eigenvalues,
+    flips each column so its first nonzero component is positive,
+    row-normalizes, then runs farthest-first seeded k-means with up to
+    ``KMEANS_RESTARTS`` re-seeded restarts. Returns the labels, or raises
+    ``ClusterCollapse`` with the same message as ``spectral_cluster``.
+    """
+    degrees = values.sum(axis=1)
+    d_isqrt = 1.0 / np.sqrt(degrees)
+    lap = np.eye(len(values)) - d_isqrt[:, None] * values * d_isqrt[None, :]
+    lap = (lap + lap.T) / 2.0
+    emb = np.linalg.eigh(lap)[1][:, :m].copy()
+    for col in range(m):
+        for x in emb[:, col]:
+            if x != 0.0:
+                if x < 0.0:
+                    emb[:, col] = -emb[:, col]
+                break
+    norms = np.linalg.norm(emb, axis=1)
+    emb[norms > 0.0] /= norms[norms > 0.0, None]
+    for attempt in range(1 + KMEANS_RESTARTS):
+        rng = np.random.default_rng(seed + attempt)
+        chosen = [int(rng.integers(len(emb)))]
+        dist = np.linalg.norm(emb - emb[chosen[0]], axis=1)
+        while len(chosen) < m:
+            nxt = int(np.argmax(dist))
+            chosen.append(nxt)
+            dist = np.minimum(dist, np.linalg.norm(emb - emb[nxt], axis=1))
+        centers = emb[chosen].copy()
+        labels = np.full(len(emb), -1, dtype=int)
+        for _ in range(KMEANS_MAX_ITERS):
+            d2 = ((emb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            if np.any(np.bincount(new_labels, minlength=m) == 0):
+                labels = None
+                break
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(m):
+                centers[c] = emb[labels == c].mean(axis=0)
+        if labels is not None:
+            return tuple(int(x) for x in labels)
+    raise ClusterCollapse(
+        f"empty cluster persisted through {KMEANS_RESTARTS} re-seeded restarts"
+    )
 
 
 def _oracle_is_number(v) -> bool:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterseg import (
     AffinityMatrix,
@@ -16,7 +20,7 @@ from jitterseg import (
     spectral_cluster,
     to_preshape,
 )
-from jitterseg.clustering import DEFAULT_OMEGA, _spectral_embedding
+from jitterseg.clustering import DEFAULT_OMEGA, _kmeans_once, _spectral_embedding
 from jitterseg.errors import (
     ClusterCollapse,
     InvalidAffinity,
@@ -26,7 +30,14 @@ from jitterseg.errors import (
     ShapeMismatch,
 )
 
-from conftest import random_preshape, random_trajectory_points, rotation_matrix
+from conftest import (
+    oracle_spectral_cluster,
+    random_preshape,
+    random_trajectory_points,
+    rotation_matrix,
+)
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def _partition_sets(labels):
@@ -114,6 +125,13 @@ class TestBuildAffinity:
             build_affinity([random_preshape(rng, 30), random_preshape(rng, 10)])
 
 
+def _random_affinity(rng: np.random.Generator, k: int) -> np.ndarray:
+    values = np.triu(rng.uniform(1e-3, 1.0, size=(k, k)), 1)
+    values = values + values.T
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
 class TestSpectralCluster:
     def _block_affinity(self, sizes, within=1.0, across=1e-6):
         k = sum(sizes)
@@ -127,7 +145,7 @@ class TestSpectralCluster:
 
     def test_separates_exact_blocks(self):
         afy = self._block_affinity([7, 5])
-        assign = spectral_cluster(afy, 2, seed=0)
+        assign = spectral_cluster(afy, seed=0)
         assert _partition_sets(assign.labels) == {
             frozenset(range(7)),
             frozenset(range(7, 12)),
@@ -136,61 +154,58 @@ class TestSpectralCluster:
     def test_two_points_two_clusters(self):
         # Forced one-per-cluster, whatever the affinity says.
         afy = AffinityMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]))
-        assign = spectral_cluster(afy, 2, seed=3)
+        assign = spectral_cluster(afy, seed=3)
         assert sorted(assign.labels) == [0, 1]
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         shapes = [random_preshape(rng) for _ in range(12)]
         afy = build_affinity(shapes)
-        first = spectral_cluster(afy, 3, seed=42)
+        first = spectral_cluster(afy, seed=42)
         for _ in range(3):
-            assert spectral_cluster(afy, 3, seed=42).labels == first.labels
+            assert spectral_cluster(afy, seed=42).labels == first.labels
 
     def test_label_permutation_is_partition_equal(self):
         afy = self._block_affinity([6, 6])
-        a = spectral_cluster(afy, 2, seed=0)
-        b = spectral_cluster(afy, 2, seed=11)
+        a = spectral_cluster(afy, seed=0)
+        b = spectral_cluster(afy, seed=11)
         assert _partition_sets(a.labels) == _partition_sets(b.labels)
 
     def test_synthetic_scene_accuracy(self):
         scene = generate_scene(SceneParams(n_bg=60, n_fg=20, n_frames=30, sigma=0.05, seed=7))
         shapes = [to_preshape(t) for t in scene.store.trajectories]
         afy = build_affinity(shapes)
-        labels = np.array(spectral_cluster(afy, 2, seed=7).labels)
+        labels = np.array(spectral_cluster(afy, seed=7).labels)
         truth = np.array([scene.ground_truth[t.id] for t in scene.store.trajectories])
         agree = np.mean(labels == truth)
         assert max(agree, 1.0 - agree) >= 0.9
 
-    def test_m_larger_than_k(self):
-        afy = self._block_affinity([2, 2])
+    def test_fewer_than_two_shapes(self):
         with pytest.raises(InvalidParameter):
-            spectral_cluster(afy, 5, seed=0)
+            spectral_cluster(AffinityMatrix(np.ones((1, 1))), seed=0)
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(8)
         shapes = [random_preshape(rng) for _ in range(9)]
         afy = build_affinity(shapes)
-        assign = spectral_cluster(afy, 4, seed=1)
-        assert set(assign.labels) == {0, 1, 2, 3}
+        assign = spectral_cluster(afy, seed=1)
+        assert set(assign.labels) == {0, 1}
 
     def test_collapse_raises(self, monkeypatch):
         # The spectral embedding itself always separates duplicates, so a
-        # genuine collapse is forced by stubbing it with two distinct rows
-        # while asking for three clusters: every restart must empty one.
+        # genuine collapse is forced by stubbing it with identical rows:
+        # every restart must empty one of the two clusters.
         import jitterseg.clustering as mod
 
-        degenerate = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
-        monkeypatch.setattr(mod, "_spectral_embedding", lambda values, m: degenerate)
+        degenerate = np.array([[1.0, 0.0]] * 8)
+        monkeypatch.setattr(mod, "_spectral_embedding", lambda values: degenerate)
         afy = AffinityMatrix(np.ones((8, 8)))
         with pytest.raises(ClusterCollapse):
-            spectral_cluster(afy, 3, seed=0)
+            spectral_cluster(afy, seed=0)
 
     def test_kmeans_reports_empty_cluster(self):
-        from jitterseg.clustering import _kmeans_once
-
-        points = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
-        assert _kmeans_once(points, 3, seed=0) is None
+        points = np.array([[0.6, 0.8]] * 5)
+        assert _kmeans_once(points, seed=0) is None
 
     def test_eigensolver_residual(self):
         rng = np.random.default_rng(9)
@@ -204,12 +219,49 @@ class TestSpectralCluster:
         for i in range(15):
             assert np.linalg.norm(lap @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-8
 
-    def test_embedding_sign_canonical(self):
-        afy = self._block_affinity([4, 4])
-        emb = _spectral_embedding(afy.values, 2)
-        for col in range(2):
-            nonzero = emb[:, col][emb[:, col] != 0.0]
-            assert nonzero[0] > 0.0
+    @PROPERTY
+    @given(st.integers(2, 40), st.sampled_from(["embedding", "normal", "grid"]), st.data())
+    def test_labels_do_not_depend_on_embedding_signs(self, k, kind, data):
+        # Negating a column negates every center exactly and leaves every
+        # distance bitwise the same, whatever sign eigh returns.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "embedding":
+            points = _spectral_embedding(_random_affinity(rng, k))
+        elif kind == "normal":
+            points = rng.standard_normal((k, 2))
+        else:  # duplicates and exact distance ties
+            points = rng.integers(-2, 3, size=(k, 2)).astype(float)
+        seed = data.draw(st.integers(0, 1000))
+        base = _kmeans_once(points, seed)
+        for signs in ([-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+            flipped = _kmeans_once(points * np.array(signs), seed)
+            if base is None:
+                assert flipped is None
+            else:
+                assert np.array_equal(flipped, base)
+
+    @PROPERTY
+    @given(st.integers(2, 40), st.sampled_from(["random", "two_groups", "disconnected"]), st.data())
+    def test_matches_former_m_way_clustering(self, k, kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "random":
+            values = _random_affinity(rng, k)
+        else:
+            # Two groups, or three or more numerically disconnected ones,
+            # in shuffled order.
+            n_groups = 2 if kind == "two_groups" else int(rng.integers(3, 6))
+            group = rng.integers(0, n_groups, size=k)
+            across = rng.uniform(1e-6, 0.1) if kind == "two_groups" else 1e-300
+            values = np.where(group[:, None] == group[None, :], rng.uniform(0.5, 1.0), across)
+            np.fill_diagonal(values, 1.0)
+        seed = data.draw(st.integers(0, 1000))
+        try:
+            expected = oracle_spectral_cluster(values, 2, seed)
+        except ClusterCollapse as exc:
+            with pytest.raises(ClusterCollapse, match=re.escape(str(exc))):
+                spectral_cluster(AffinityMatrix(values), seed)
+        else:
+            assert spectral_cluster(AffinityMatrix(values), seed).labels == expected
 
 
 class TestAffinityType:
@@ -247,6 +299,6 @@ class TestClusterAssignmentType:
     @pytest.mark.parametrize("labels", [(0, 2, 1), (0, 0, 0), (1, 1)])
     def test_typed_value_error(self, labels):
         with pytest.raises(InvalidAssignment) as info:
-            ClusterAssignment(labels, 2)
+            ClusterAssignment(labels)
         assert isinstance(info.value, JittersegError)
         assert isinstance(info.value, ValueError)

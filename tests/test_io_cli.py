@@ -240,6 +240,40 @@ class TestLabelFile:
         assert info.value.line == 2
         assert run_cli(["eval", "--pred", str(path), "--gt", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "records, line, message",
+        [
+            (['{"type":"params","params":5}'], 1, "'params' must be an object"),
+            (['{"type":"params","params":{}}', '{"type":"params","params":{}}'], 2, "second"),
+            (['{"type":"fused","labels":{}}'], 2, "second 'fused'"),
+            (['{"type":"block","range":[3,10],"labels":{}}'], 1, "tile from 0"),
+            (
+                [
+                    '{"type":"block","range":[0,10],"labels":{}}',
+                    '{"type":"block","range":[5,20],"labels":{}}',
+                ],
+                2,
+                "expected start 10",
+            ),
+            (
+                [
+                    '{"type":"block","range":[0,10],"labels":{}}',
+                    '{"type":"block","range":[12,20],"labels":{}}',
+                ],
+                2,
+                "expected start 10",
+            ),
+        ],
+        ids=["params-not-object", "two-params", "two-fused", "first-start", "overlap", "gap"],
+    )
+    def test_contradictory_records(self, tmp_path, records, line, message):
+        path = tmp_path / "labels.jsonl"
+        path.write_text("\n".join([*records, '{"type":"fused","labels":{"0":1}}']) + "\n")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_labels(path)
+        assert info.value.line == line
+        assert run_cli(["eval", "--pred", str(path), "--gt", str(path)]) == 1
+
     def test_missing_fused_record(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text('{"type":"block","range":[0,10],"labels":{"0":1}}\n')
