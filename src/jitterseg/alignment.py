@@ -101,15 +101,13 @@ def gpa_align(shapes: Sequence[PreShape] | np.ndarray, members: Sequence[int]) -
     identity.
 
     ``shapes`` is a (K, N) complex pre-shape stack or a sequence of
-    ``PreShape``; only the rows in ``members`` are read.
+    ``PreShape`` of one frame count, as ``stack_preshapes`` takes it; the
+    rows in ``members`` form the cluster.
     """
     members = list(members)
     if not members:
         raise EmptyCluster("member set is empty")
-    if isinstance(shapes, np.ndarray):
-        z = shapes[members]
-    else:
-        z = stack_preshapes([shapes[i] for i in members])
+    z = stack_preshapes(shapes)[members]
 
     z_conj = z.conj()
     phases = np.ones(len(members), dtype=complex)

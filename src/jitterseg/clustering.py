@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClusterCollapse, InvalidAffinity, InvalidAssignment, InvalidParameter
-from .shapes import PreShape, stack_preshapes, unit_phase
+from .shapes import PreShape, procrustes_residuals, stack_preshapes, unit_phase
 
 DEFAULT_OMEGA = 0.02
 
@@ -82,11 +82,12 @@ def build_affinity(
     distance is then taken as the literal residual ``||z_i - u z_j||``
     rather than ``sqrt(2 - 2|G_ij|)``: that closed form cancels near
     d = 0 and would give identical shapes an affinity visibly below 1.
-    The residuals are computed for a strip of rows against every later
-    column at once, strips sized so that one temporary holds about
-    ``AFFINITY_STRIP_ELEMENTS`` complex numbers, and only the upper
-    triangle is kept. The matrix is exactly symmetric (each pair computed
-    once) with unit diagonal.
+    ``procrustes_residuals`` computes them for a strip of rows against
+    every later column at once, strips sized so that one temporary holds
+    about ``AFFINITY_STRIP_ELEMENTS`` complex numbers, with that strip's
+    slice of the one Gram phase; only the upper triangle is kept. The
+    matrix is exactly symmetric (each pair computed once) with unit
+    diagonal.
 
     ``shapes`` is a (K, N) complex pre-shape stack or a sequence of
     ``PreShape``. Raises ``InvalidParameter`` when ``omega`` is so small
@@ -104,13 +105,7 @@ def build_affinity(
     while lo < k - 1:
         cols = k - lo - 1
         hi = min(lo + max(1, AFFINITY_STRIP_ELEMENTS // (cols * n)), k - 1)
-        # resid[r, c] = z_i - u_ij z_j for row i = lo + r, column j = lo + 1 + c,
-        # computed in place to keep two strip-sized temporaries, not four.
-        resid = phase[lo:hi, lo + 1 :, None] * z[None, lo + 1 :, :]
-        np.subtract(z[lo:hi, None, :], resid, out=resid)
-        squares = resid.real**2
-        squares += resid.imag**2
-        dist[lo:hi, lo + 1 :] = np.sqrt(np.sum(squares, axis=-1))
+        dist[lo:hi, lo + 1 :] = procrustes_residuals(z[lo:hi], z[lo + 1 :], phase[lo:hi, lo + 1 :])
         lo = hi
     # Each pair i < j was computed once, in the strip holding row i; the
     # strips' entries on and below the diagonal are dropped.

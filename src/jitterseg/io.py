@@ -142,6 +142,8 @@ def _parse_header(rec: dict, lineno: int) -> tuple[int, int, int]:
             raise ParseError(f"header '{key}' must be a positive integer", lineno)
         if rec[key] > MAX_INT_PARAM:
             raise ParseError(f"header '{key}' must be <= {MAX_INT_PARAM}", lineno)
+    if rec["frames"] < 2:
+        raise ParseError("header 'frames' must be >= 2", lineno)
     return rec["frames"], rec["width"], rec["height"]
 
 
@@ -246,7 +248,10 @@ def _parse_label_map(obj, lineno: int) -> dict[int, int]:
         try:
             tid = int(k)
         except ValueError:
-            raise ParseError(f"label key {k!r} is not an integer id", lineno) from None
+            tid = None
+        # One id, one spelling: "07", " 7" or "7_0" would alias another key.
+        if tid is None or str(tid) != k:
+            raise ParseError(f"label key {k!r} is not a canonical integer id", lineno)
         if not _is_int(v) or v not in (0, 1):
             raise ParseError(f"label for id {k} must be 0 or 1", lineno)
         out[tid] = v
@@ -257,7 +262,9 @@ def parse_labels(path) -> LabelFileData:
     """Read a label file; ``ParseError`` with the line for a contradictory one.
 
     At most one ``params`` record (a JSON object) and exactly one
-    ``fused`` record; block ranges tile the frames from 0 in order.
+    ``fused`` record; block ranges tile the frames from 0 in order; each
+    label key is an id spelled as ``str`` spells it, so no two keys name
+    one id.
     """
     params = None
     blocks = []

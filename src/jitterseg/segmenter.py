@@ -45,6 +45,7 @@ from .shapes import (
     as_complex,
     preshape_rows,
     procrustes_distance,  # noqa: F401  (bench/tracing.py wraps it here)
+    procrustes_residuals,
     project_rows,
     project_to_preshape,  # noqa: F401  (bench/tracing.py wraps it here)
     unit_phase,
@@ -367,7 +368,8 @@ def assign_stragglers(
     Candidates sharing an overlap window ``[lo, hi)`` are labeled
     together: one matmul gives every <mean, track> inner product, whose
     unit phase ``u`` rotates the mean onto the track, and the distance is
-    the literal residual ``||t - u m||``.
+    the literal residual ``||t - u m||`` from ``procrustes_residuals``,
+    the kernel of the affinity.
     """
     labels = dict(result.labels)
     if not result.means:
@@ -395,10 +397,7 @@ def assign_stragglers(
         )
         pre, norms = preshape_rows(rows)
         cropped, tracks = pre[:n_means], pre[n_means:]
-        u = unit_phase(tracks @ cropped.conj().T)
-        # (track, mean, frame) residuals, summed over their (x, y) parts.
-        resid = (tracks[:, None, :] - u[:, :, None] * cropped[None, :, :]).view(float)
-        dist = np.sqrt(np.einsum("gcn,gcn->gc", resid, resid))
+        dist = procrustes_residuals(tracks, cropped, unit_phase(tracks @ cropped.conj().T))
         dist[:, norms[:n_means] < DEGENERACY_EPS] = np.inf
         d_min = dist.min(axis=1)
         nearest = np.argmax(dist < d_min[:, None] + _TIE_EPS, axis=1)

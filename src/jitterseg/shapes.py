@@ -12,6 +12,13 @@ Rotations are solved in Kendall's complex form: a configuration's rows
 (x, y) become the complex N-vector x + iy, a planar rotation becomes a
 unit complex phase, and the best rotation of b onto a is the phase of
 the inner product sum(conj(b) * a). No SVD is needed.
+
+Each shape operation has one implementation, on (K, N) complex stacks,
+and the single-shape API is a thin layer over it. ``preshape_rows`` is
+the one projection: ``project_to_preshape`` runs it on a one-row stack.
+``procrustes_residuals`` is the one residual: the affinity, the
+straggler labels and ``procrustes_distance`` all take their Procrustes
+distances from it.
 """
 
 from __future__ import annotations
@@ -122,10 +129,7 @@ class PreShape:
         cfg = _readonly(self.config)
         if cfg.ndim != 2 or cfg.shape[1] != 2 or cfg.shape[0] < 2:
             raise InvalidPreShape(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
-        if np.max(np.abs(cfg.sum(axis=0))) > _INVARIANT_TOL:
-            raise InvalidPreShape("config is not centered")
-        if abs(np.linalg.norm(cfg) - 1.0) > _INVARIANT_TOL:
-            raise InvalidPreShape("config does not have unit Frobenius norm")
+        _check_preshapes(as_complex(cfg)[None])
         object.__setattr__(self, "config", cfg)
 
     @property
@@ -161,8 +165,10 @@ class Rotation2D:
 def project_to_preshape(config: np.ndarray) -> PreShape:
     """Re-center the rows of ``config`` and rescale to unit Frobenius norm.
 
-    Idempotent on valid pre-shapes (up to floating-point identity: a valid
-    pre-shape's centering and norm are already exact to ~1e-16).
+    This is ``project_rows`` on a one-row stack, so its bits are those
+    of the pipeline's own projection. Idempotent on valid pre-shapes (up
+    to floating-point identity: a valid pre-shape's centering and norm
+    are already exact to ~1e-16).
 
     Raises DegenerateTrajectory when the centered norm falls below
     ``DEGENERACY_EPS`` (all points coincide).
@@ -170,14 +176,7 @@ def project_to_preshape(config: np.ndarray) -> PreShape:
     cfg = np.asarray(config, dtype=float)
     if cfg.ndim != 2 or cfg.shape[1] != 2 or cfg.shape[0] < 2:
         raise InvalidPreShape(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
-    centered = cfg - cfg.mean(axis=0)
-    # A second pass removes what the rounded mean leaves behind, which the
-    # division would blow up for a (nearly) motionless track.
-    centered -= centered.mean(axis=0)
-    norm = np.linalg.norm(centered)
-    if norm < DEGENERACY_EPS:
-        raise DegenerateTrajectory(f"centered norm {norm:.3e} below {DEGENERACY_EPS:.0e}")
-    return PreShape(centered / norm)
+    return PreShape(project_rows(as_complex(cfg)[None])[0].view(float).reshape(-1, 2))
 
 
 def to_preshape(traj: Trajectory) -> PreShape:
@@ -218,12 +217,12 @@ def stack_preshapes(shapes) -> np.ndarray:
 
 
 def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``project_to_preshape`` applied to every row of a (K, N) complex stack.
+    """Every row of a (K, N) complex stack re-centered and scaled to unit norm.
 
     Returns the pre-shapes and the centered norms. A row whose centered
     norm is below ``DEGENERACY_EPS`` has no shape: it comes back as zeros
     and the caller decides whether to skip it or raise. The other rows
-    are checked for centering and unit norm as ``PreShape`` checks them.
+    are checked for centering and unit norm by ``PreShape``'s own check.
     """
     if z.ndim != 2 or z.shape[1] < 2:
         raise InvalidPreShape(f"need a (K, N) stack with N >= 2, got {z.shape}")
@@ -231,17 +230,27 @@ def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # norm is a plain dot product and the division a real one, as in the
     # (N, 2) form (a complex division would multiply by 1/norm instead).
     centered = z - z.mean(axis=1, keepdims=True)
+    # A second pass removes what the rounded mean leaves behind, which the
+    # division would blow up for a (nearly) motionless track.
     flat = (centered - centered.mean(axis=1, keepdims=True)).view(float)
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     ok = norms >= DEGENERACY_EPS
     pre = (flat / np.where(ok, norms, np.inf)[:, None]).view(complex)
-    # The x and y sums of every row, as the parts of one complex sum.
-    if np.abs(pre.sum(axis=1).view(float)).max(initial=0.0) > _INVARIANT_TOL:
-        raise InvalidPreShape("config is not centered")
-    unit = np.sqrt(np.einsum("ij,ij->i", pre.view(float), pre.view(float)))
-    if np.abs(unit[ok] - 1.0).max(initial=0.0) > _INVARIANT_TOL:
-        raise InvalidPreShape("config does not have unit Frobenius norm")
+    _check_preshapes(pre[ok])
     return pre, norms
+
+
+def _check_preshapes(z: np.ndarray) -> None:
+    """Raise InvalidPreShape unless every row of a (K, N) complex stack is a pre-shape.
+
+    A row must be centered and of unit norm, both to ``_INVARIANT_TOL``.
+    """
+    # The x and y sums of every row, as the parts of one complex sum.
+    if np.abs(z.sum(axis=1).view(float)).max(initial=0.0) > _INVARIANT_TOL:
+        raise InvalidPreShape("config is not centered")
+    unit = np.sqrt(np.einsum("ij,ij->i", z.view(float), z.view(float)))
+    if np.abs(unit - 1.0).max(initial=0.0) > _INVARIANT_TOL:
+        raise InvalidPreShape("config does not have unit Frobenius norm")
 
 
 def project_rows(z: np.ndarray) -> np.ndarray:
@@ -304,4 +313,21 @@ def procrustes_distance(a: PreShape, b: PreShape) -> float:
     Symmetric in its arguments; ranges over [0, 2] for unit-norm inputs.
     """
     za, zb, u = _aligned_pair(a, b)
-    return float(np.linalg.norm(za - u * zb))
+    return float(procrustes_residuals(za[None], zb[None], np.array([[u]]))[0, 0])
+
+
+def procrustes_residuals(a: np.ndarray, b: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The (R, C) literal residuals ``||a_i - phase[i, j] * b_j||``.
+
+    ``a`` and ``b`` are (R, N) and (C, N) complex pre-shape stacks, and
+    ``phase[i, j]`` is the unit phase that rotates ``b_j`` onto ``a_i``.
+    The residual is taken literally rather than as ``sqrt(2 - 2|<b, a>|)``:
+    that closed form cancels near d = 0 and would put identical shapes
+    visibly apart.
+    """
+    # Computed in place to keep two (R, C, N) temporaries, not four.
+    resid = phase[:, :, None] * b
+    np.subtract(a[:, None, :], resid, out=resid)
+    squares = np.square(resid.real)
+    squares += np.square(resid.imag)
+    return np.sqrt(squares.sum(axis=-1))

@@ -193,6 +193,15 @@ class TestTrajectoryFile:
         with pytest.raises(ParseError):
             parse_trajectories(path)
 
+    def test_header_needs_two_frames(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"frames":1,"width":10,"height":10}\n')
+        with pytest.raises(ParseError, match="'frames' must be >= 2") as info:
+            parse_trajectories(path)
+        assert info.value.line == 1
+        out = tmp_path / "labels.jsonl"
+        assert run_cli(["segment", "--input", str(path), "--output", str(out)]) == 1
+
     def test_roundtrip_bit_identical(self, tmp_path):
         scene = generate_scene(SceneParams(n_bg=15, n_fg=5, n_frames=25, sigma=0.15, seed=3))
         path = tmp_path / "scene.jsonl"
@@ -263,8 +272,26 @@ class TestLabelFile:
                 2,
                 "expected start 10",
             ),
+            # Keys that int() reads as the id another key spells canonically.
+            (['{"type":"block","range":[0,10],"labels":{"7":0,"07":1}}'], 1, "'07' is not"),
+            (['{"type":"block","range":[0,10],"labels":{" 8":1,"8":0}}'], 1, "' 8' is not"),
+            (['{"type":"block","range":[0,10],"labels":{"1_0":1}}'], 1, "'1_0' is not"),
+            (['{"type":"block","range":[0,10],"labels":{"\\u0663":1}}'], 1, "not a canonical"),
+            (['{"type":"block","range":[0,10],"labels":{"-0":1}}'], 1, "'-0' is not"),
         ],
-        ids=["params-not-object", "two-params", "two-fused", "first-start", "overlap", "gap"],
+        ids=[
+            "params-not-object",
+            "two-params",
+            "two-fused",
+            "first-start",
+            "overlap",
+            "gap",
+            "key-leading-zero",
+            "key-space",
+            "key-underscore",
+            "key-arabic-indic-digit",
+            "key-negative-zero",
+        ],
     )
     def test_contradictory_records(self, tmp_path, records, line, message):
         path = tmp_path / "labels.jsonl"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterseg import (
     PreShape,
@@ -23,7 +25,7 @@ from jitterseg.errors import (
     JittersegError,
     ShapeMismatch,
 )
-from jitterseg.shapes import as_complex, preshape_rows
+from jitterseg.shapes import DEGENERACY_EPS, as_complex, preshape_rows, procrustes_residuals
 
 from conftest import grid_search_rotation, random_preshape, random_trajectory_points, rotation_matrix
 
@@ -97,6 +99,54 @@ class TestProjectToPreshape:
             project_to_preshape(still)
         pre, norms = preshape_rows(as_complex(still)[None])
         assert norms.tolist() == [0.0] and not pre.any()
+
+
+@st.composite
+def configurations(draw, n=None):
+    """(N, 2) point sets near the origin or far from it, moving or nearly still.
+
+    A spread of 0 is a track that sits still, as in
+    ``test_motionless_track_does_not_stop_the_run``; 1e-3 is one that
+    jitters in place.
+    """
+    n = n or draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = draw(st.sampled_from([0.0, 1.0, 500.0, 1e4])) * rng.uniform(0.0, 1.0, 2)
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 100.0]))
+    return center + spread * rng.standard_normal((n, 2))
+
+
+def _moves(cfg) -> bool:
+    return preshape_rows(as_complex(cfg)[None])[1][0] >= DEGENERACY_EPS
+
+
+class TestOneShapeCore:
+    """The single-shape API returns the stacked kernels' bits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(configurations())
+    def test_projection_is_the_row_projection(self, cfg):
+        pre, norms = preshape_rows(as_complex(cfg)[None])
+        if norms[0] < DEGENERACY_EPS:
+            with pytest.raises(DegenerateTrajectory):
+                project_to_preshape(cfg)
+        else:
+            row = pre[0].view(float).reshape(-1, 2)
+            assert project_to_preshape(cfg).config.tobytes() == row.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(2, 60), st.sampled_from(["random", "close", "same"]))
+    def test_distance_is_the_residual_kernel(self, data, n, kind):
+        a = project_to_preshape(data.draw(configurations(n).filter(_moves)))
+        if kind == "random":
+            b = project_to_preshape(data.draw(configurations(n).filter(_moves)))
+        else:
+            noise = 1e-7 * np.random.default_rng(n).standard_normal((n, 2))
+            b = project_to_preshape(a.config @ rotation_matrix(0.4) + (kind == "close") * noise)
+        rot = optimal_rotation(a, b).matrix
+        phase = np.array([[complex(rot[0, 0], rot[0, 1])]])
+        want = procrustes_residuals(as_complex(a.config)[None], as_complex(b.config)[None], phase)
+        assert procrustes_distance(a, b) == want[0, 0]
 
 
 class TestOptimalRotation:
