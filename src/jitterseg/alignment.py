@@ -11,6 +11,7 @@ sweeps only rescale it, and every later step re-projects the scale away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,8 +154,10 @@ def stabilize_mean(
     starting from the input mean. ``lam = 0`` gives alpha = 1, beta = 0:
     the identity.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidParameter("lam must be >= 0")
+    if not math.isfinite(lam):
+        raise InvalidParameter("lam must be finite")
     if iters < 1:
         raise InvalidParameter("iters must be >= 1")
     mean = np.asarray(mean, dtype=float)

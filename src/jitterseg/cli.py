@@ -10,6 +10,7 @@ import typing
 
 from .errors import JittersegError
 from .io import parse_labels, parse_trajectories, serialize_labels, serialize_trajectories
+from .io import unique_keys
 from .segmenter import SegmenterParams, check_jobs, segment_store
 from .synth import SceneParams, generate_scene, metrics_from_labels
 
@@ -105,12 +106,16 @@ def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
     if args.get("config"):
         try:
             with open(args["config"], "r", encoding="utf-8") as f:
-                loaded = json.load(f)
-        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
+                loaded = json.load(f, object_pairs_hook=unique_keys)
+        except (OSError, ValueError) as exc:  # JSON, UTF-8 and duplicate-key errors
             _PARSER.error(f"cannot read config: {exc}")
         if not isinstance(loaded, dict):
             _PARSER.error("config must be a JSON object")
-        config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+        for key, value in loaded.items():
+            option = key.replace("-", "_")
+            if option in config:
+                _PARSER.error(f"config names option '{option}' twice")
+            config[option] = value
         if unknown := set(config) - {opt.key for opt in flags}:
             _PARSER.error(f"unknown config keys: {sorted(unknown)}")
     merged = {}

@@ -32,11 +32,26 @@ def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def _records(path):
+class DuplicateKey(ValueError):
+    """A JSON object names one key twice."""
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json`` object pairs hook: the object as a dict, ``DuplicateKey`` on a repeat."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DuplicateKey(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _records(path, object_pairs_hook=None):
     """Yield (line number, JSON value) for each non-blank line of a file.
 
     Undecodable bytes are read as escapes, so a line that is not UTF-8 or
-    not JSON is a ``ParseError`` with its number.
+    not JSON is a ``ParseError`` with its number, and so is a
+    ``DuplicateKey`` from ``object_pairs_hook``.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
@@ -49,9 +64,11 @@ def _records(path):
                 except UnicodeEncodeError:
                     raise ParseError("not UTF-8 text", lineno) from None
             try:
-                rec = json.loads(line)
+                rec = json.loads(line, object_pairs_hook=object_pairs_hook)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
+            except DuplicateKey as exc:
+                raise ParseError(str(exc), lineno) from None
             except RecursionError:
                 raise ParseError("invalid JSON (nested too deeply)", lineno) from None
             yield lineno, rec
@@ -262,15 +279,15 @@ def parse_labels(path) -> LabelFileData:
     """Read a label file; ``ParseError`` with the line for a contradictory one.
 
     At most one ``params`` record (a JSON object) and exactly one
-    ``fused`` record; block ranges tile the frames from 0 in order; each
-    label key is an id spelled as ``str`` spells it, so no two keys name
-    one id.
+    ``fused`` record; block ranges tile the frames from 0 in order; no
+    object repeats a key, and each label key is an id spelled as ``str``
+    spells it, so no two keys name one id.
     """
     params = None
     blocks = []
     fused = None
     edge = 0
-    for lineno, rec in _records(path):
+    for lineno, rec in _records(path, unique_keys):
         if not isinstance(rec, dict) or "type" not in rec:
             raise ParseError("record needs a 'type' field", lineno)
         kind = rec["type"]

@@ -88,8 +88,8 @@ class TrajectoryStore:
     trajectories: tuple[Trajectory, ...]
     n_frames_total: int
     frame_size: tuple[int, int]
-    # Ids, start frames and end frames in store order.
-    _spans: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # Ids, start frames and end frames (one past the last), in id order.
+    frame_spans: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         trajs = tuple(self.trajectories)
@@ -106,15 +106,15 @@ class TrajectoryStore:
             ).reshape(-1, 3)
         except OverflowError:
             raise BoundsError("trajectory ids and frames must fit in 64-bit integers") from None
-        ids, _, ends = spans.T
-        object.__setattr__(self, "_spans", tuple(spans.T))
+        ids, starts, ends = spans.T
+        order = np.argsort(ids, kind="stable")
+        object.__setattr__(self, "frame_spans", tuple(spans[order].T.copy()))
         if not trajs:
             return
-        order = np.argsort(ids, kind="stable")
         repeat = np.zeros(len(trajs), dtype=bool)
         repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
         past_end = ends > self.n_frames_total
-        bad = repeat | past_end | self._leaving_frame()
+        bad = repeat | past_end | self._leaving_frame(ends - starts)
         if bad.any():
             i = int(np.argmax(bad))
             tid = trajs[i].id
@@ -124,8 +124,10 @@ class TrajectoryStore:
                 raise BoundsError(f"trajectory {tid} extends past frame {self.n_frames_total - 1}")
             raise BoundsError(f"trajectory {tid} leaves the frame bounds")
 
-    def _leaving_frame(self) -> np.ndarray:
+    def _leaving_frame(self, counts: np.ndarray) -> np.ndarray:
         """Per track, whether some point lies outside [0, width] x [0, height].
+
+        ``counts`` holds each track's number of points, in store order.
 
         Tracks are checked in consecutive groups of about ``_CHECK_ROWS``
         points, each group concatenated into one small array: one
@@ -134,7 +136,6 @@ class TrajectoryStore:
         """
         width, height = self.frame_size
         trajs = self.trajectories
-        counts = np.array([t.n_points for t in trajs])
         firsts = np.cumsum(counts) - counts  # each track's first row in the store
         leaving = np.empty(len(trajs), dtype=bool)
         lo = 0
@@ -150,12 +151,6 @@ class TrajectoryStore:
     @cached_property
     def by_id(self) -> Mapping[int, Trajectory]:
         return {t.id: t for t in self.trajectories}
-
-    @cached_property
-    def frame_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ids, start frames and end frames (one past the last), in id order."""
-        order = np.argsort(self._spans[0])
-        return tuple(column[order] for column in self._spans)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -409,33 +404,22 @@ def assign_stragglers(
     return labels
 
 
-def _oriented(labels: Mapping[int, int], flip: bool) -> dict[int, int]:
-    return {k: (1 - v if flip else v) for k, v in labels.items()}
-
-
-def _bbox_area(points: list[np.ndarray]) -> float:
-    if not points:
-        return np.inf
-    arr = np.array(points)
-    extents = arr.max(axis=0) - arr.min(axis=0)
-    return float(extents[0] * extents[1])
-
-
-def _foreground_flip(result: BlockResult, store: TrajectoryStore, flip: bool) -> bool:
-    """True when cluster 0 (after ``flip``) has the smaller bounding box.
+def _foreground_flip(result: BlockResult, store: TrajectoryStore) -> bool:
+    """True when cluster 0 has the smaller bounding box.
 
     The box is taken over the first-frame positions of the block's
     labeled trajectories; the smaller cluster is the foreground and is
-    reported as cluster 1.
+    reported as cluster 1. A cluster with no such position has an
+    infinite box.
     """
     frame = result.block.start
     pts: dict[int, list[np.ndarray]] = {0: [], 1: []}
-    for tid, raw in result.labels.items():
+    for tid, lab in result.labels.items():
         t = store.by_id[tid]
-        if not t.start_frame <= frame < t.end_frame:
-            continue
-        pts[1 - raw if flip else raw].append(t.points[frame - t.start_frame])
-    return _bbox_area(pts[0]) < _bbox_area(pts[1])
+        if t.start_frame <= frame < t.end_frame:
+            pts[lab].append(t.points[frame - t.start_frame])
+    area = [np.prod(np.ptp(pts[c], axis=0)) if pts[c] else np.inf for c in (0, 1)]
+    return bool(area[0] < area[1])
 
 
 def fuse_blocks(results: Sequence[BlockResult], store: TrajectoryStore) -> dict[int, int]:
@@ -457,52 +441,40 @@ def fuse_blocks(results: Sequence[BlockResult], store: TrajectoryStore) -> dict[
     for r in results:
         if any(v not in (0, 1) for v in r.labels.values()):
             raise InvalidParameter("fuse_blocks requires binary labels")
-    results = [r for r in results if r.labels]
-    if not results:
-        return {}
 
-    flips = [False]
-    segments = [[0]]
-    for b in range(1, len(results)):
-        prev = _oriented(results[b - 1].labels, flips[b - 1])
-        cur = results[b].labels
-        shared = prev.keys() & cur.keys()
-        if not shared:
-            warnings.warn(
-                NoSharedTrajectories(
-                    f"blocks {results[b - 1].block.frame_range} and "
-                    f"{results[b].block.frame_range} share no labeled trajectory; "
-                    "orienting the later run by bounding box"
+    # One pass. ``rel`` is a block's flip relative to the head of its run
+    # and ``run_flip`` the head's bounding-box flip; a block's labels are
+    # flipped by their XOR. Agreement is counted against the previous
+    # block's relative orientation, so an exact tie keeps it whatever the
+    # bounding box says.
+    votes: dict[int, list[int]] = {}  # per track: ones, count, earliest label
+    prev = None
+    for result in (r for r in results if r.labels):
+        cur = result.labels
+        shared = prev.labels.keys() & cur.keys() if prev is not None else ()
+        if shared:
+            agree = sum(prev.labels[tid] ^ rel == cur[tid] for tid in shared)
+            rel = 2 * agree < len(shared)
+        else:
+            if prev is not None:
+                warnings.warn(
+                    NoSharedTrajectories(
+                        f"blocks {prev.block.frame_range} and "
+                        f"{result.block.frame_range} share no labeled trajectory; "
+                        "orienting the later run by bounding box"
+                    )
                 )
-            )
-            flips.append(False)
-            segments.append([b])
-        else:
-            agree = sum(prev[tid] == cur[tid] for tid in shared)
-            flips.append(2 * agree < len(shared))
-            segments[-1].append(b)
-
-    for seg in segments:
-        head = seg[0]
-        if _foreground_flip(results[head], store, flips[head]):
-            for b in seg:
-                flips[b] = not flips[b]
-
-    votes: dict[int, list[tuple[int, int]]] = {}
-    for b, result in enumerate(results):
-        for tid, lab in _oriented(result.labels, flips[b]).items():
-            votes.setdefault(tid, []).append((b, lab))
-    fused = {}
-    for tid in sorted(votes):
-        entries = votes[tid]
-        ones = sum(lab for _, lab in entries)
-        if 2 * ones > len(entries):
-            fused[tid] = 1
-        elif 2 * ones < len(entries):
-            fused[tid] = 0
-        else:
-            fused[tid] = min(entries)[1]
-    return fused
+            rel, run_flip = False, _foreground_flip(result, store)
+        for tid, raw in cur.items():
+            lab = raw ^ (rel != run_flip)
+            vote = votes.setdefault(tid, [0, 0, lab])
+            vote[0] += lab
+            vote[1] += 1
+        prev = result
+    return {
+        tid: first if 2 * ones == n else int(2 * ones > n)
+        for tid, (ones, n, first) in sorted(votes.items())
+    }
 
 
 def check_jobs(jobs: int) -> None:

@@ -171,11 +171,14 @@ def project_to_preshape(config: np.ndarray) -> PreShape:
     are already exact to ~1e-16).
 
     Raises DegenerateTrajectory when the centered norm falls below
-    ``DEGENERACY_EPS`` (all points coincide).
+    ``DEGENERACY_EPS`` (all points coincide), and InvalidPreShape for a
+    NaN or infinite coordinate.
     """
     cfg = np.asarray(config, dtype=float)
     if cfg.ndim != 2 or cfg.shape[1] != 2 or cfg.shape[0] < 2:
         raise InvalidPreShape(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
+    if not np.isfinite(cfg).all():
+        raise InvalidPreShape("config has a non-finite coordinate")
     return PreShape(project_rows(as_complex(cfg)[None])[0].view(float).reshape(-1, 2))
 
 
@@ -245,11 +248,12 @@ def _check_preshapes(z: np.ndarray) -> None:
 
     A row must be centered and of unit norm, both to ``_INVARIANT_TOL``.
     """
-    # The x and y sums of every row, as the parts of one complex sum.
-    if np.abs(z.sum(axis=1).view(float)).max(initial=0.0) > _INVARIANT_TOL:
+    # The x and y sums of every row, as the parts of one complex sum. Both
+    # tests are written so that NaN fails them.
+    if not np.abs(z.sum(axis=1).view(float)).max(initial=0.0) <= _INVARIANT_TOL:
         raise InvalidPreShape("config is not centered")
     unit = np.sqrt(np.einsum("ij,ij->i", z.view(float), z.view(float)))
-    if np.abs(unit - 1.0).max(initial=0.0) > _INVARIANT_TOL:
+    if not np.abs(unit - 1.0).max(initial=0.0) <= _INVARIANT_TOL:
         raise InvalidPreShape("config does not have unit Frobenius norm")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -27,6 +28,8 @@ from jitterseg.errors import (
     ClusterCollapse,
     DegenerateTrajectory,
     DuplicateId,
+    InvalidParameter,
+    NoSharedTrajectories,
     ParseError,
 )
 from jitterseg.io import _is_int, _parse_header, _valid_points
@@ -238,6 +241,90 @@ def oracle_segment_block(store, block, params) -> BlockResult:
     partial = BlockResult(block, labels, tuple(means))
     labels = oracle_assign_stragglers(partial, store, block, params)
     return BlockResult(block, labels, tuple(means))
+
+
+def _oracle_oriented(labels, flip: bool) -> dict[int, int]:
+    return {k: (1 - v if flip else v) for k, v in labels.items()}
+
+
+def _oracle_bbox_area(points) -> float:
+    if not points:
+        return np.inf
+    arr = np.array(points)
+    extents = arr.max(axis=0) - arr.min(axis=0)
+    return float(extents[0] * extents[1])
+
+
+def _oracle_foreground_flip(result, store, flip: bool) -> bool:
+    frame = result.block.start
+    pts = {0: [], 1: []}
+    for tid, raw in result.labels.items():
+        t = store.by_id[tid]
+        if not t.start_frame <= frame < t.end_frame:
+            continue
+        pts[1 - raw if flip else raw].append(t.points[frame - t.start_frame])
+    return _oracle_bbox_area(pts[0]) < _oracle_bbox_area(pts[1])
+
+
+def oracle_fuse_blocks(results, store) -> dict[int, int]:
+    """``fuse_blocks`` as its former four passes.
+
+    Chain each labeled block to the previous one (a flip list and a list
+    of runs), re-flip every run whose head the bounding box flips, copy
+    each block's oriented labels into per-track ``(block, label)`` vote
+    lists, and take the majority, ties to ``min(entries)``.
+    """
+    if not results:
+        raise InvalidParameter("need at least one block result")
+    for r in results:
+        if any(v not in (0, 1) for v in r.labels.values()):
+            raise InvalidParameter("fuse_blocks requires binary labels")
+    results = [r for r in results if r.labels]
+    if not results:
+        return {}
+
+    flips = [False]
+    segments = [[0]]
+    for b in range(1, len(results)):
+        prev = _oracle_oriented(results[b - 1].labels, flips[b - 1])
+        cur = results[b].labels
+        shared = prev.keys() & cur.keys()
+        if not shared:
+            warnings.warn(
+                NoSharedTrajectories(
+                    f"blocks {results[b - 1].block.frame_range} and "
+                    f"{results[b].block.frame_range} share no labeled trajectory; "
+                    "orienting the later run by bounding box"
+                )
+            )
+            flips.append(False)
+            segments.append([b])
+        else:
+            agree = sum(prev[tid] == cur[tid] for tid in shared)
+            flips.append(2 * agree < len(shared))
+            segments[-1].append(b)
+
+    for seg in segments:
+        head = seg[0]
+        if _oracle_foreground_flip(results[head], store, flips[head]):
+            for b in seg:
+                flips[b] = not flips[b]
+
+    votes: dict[int, list[tuple[int, int]]] = {}
+    for b, result in enumerate(results):
+        for tid, lab in _oracle_oriented(result.labels, flips[b]).items():
+            votes.setdefault(tid, []).append((b, lab))
+    fused = {}
+    for tid in sorted(votes):
+        entries = votes[tid]
+        ones = sum(lab for _, lab in entries)
+        if 2 * ones > len(entries):
+            fused[tid] = 1
+        elif 2 * ones < len(entries):
+            fused[tid] = 0
+        else:
+            fused[tid] = min(entries)[1]
+    return fused
 
 
 def oracle_spectral_cluster(values: np.ndarray, m: int, seed: int) -> tuple[int, ...]:

@@ -229,6 +229,12 @@ class TestStabilizeMean:
         with pytest.raises(InvalidParameter):
             stabilize_mean(mean, 0.2, 0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        mean = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(InvalidParameter, match="lam"):
+            stabilize_mean(mean, lam, 5)
+
 
 class TestBackTransform:
     def test_identity_rotation_passthrough(self):

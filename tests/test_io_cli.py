@@ -278,6 +278,11 @@ class TestLabelFile:
             (['{"type":"block","range":[0,10],"labels":{"1_0":1}}'], 1, "'1_0' is not"),
             (['{"type":"block","range":[0,10],"labels":{"\\u0663":1}}'], 1, "not a canonical"),
             (['{"type":"block","range":[0,10],"labels":{"-0":1}}'], 1, "'-0' is not"),
+            # A repeated key in any object; json.loads alone keeps the last.
+            (['{"type":"fused","labels":{"7":0,"7":1}}'], 1, "duplicate key '7'"),
+            (['{"type":"block","range":[0,10],"labels":{"3":0,"3":0}}'], 1, "duplicate key '3'"),
+            (['{"type":"block","type":"fused","labels":{}}'], 1, "duplicate key 'type'"),
+            (['{"type":"params","params":{"seed":1,"seed":2}}'], 1, "duplicate key 'seed'"),
         ],
         ids=[
             "params-not-object",
@@ -291,6 +296,10 @@ class TestLabelFile:
             "key-underscore",
             "key-arabic-indic-digit",
             "key-negative-zero",
+            "duplicate-fused-key",
+            "duplicate-block-key",
+            "duplicate-type",
+            "duplicate-params-key",
         ],
     )
     def test_contradictory_records(self, tmp_path, records, line, message):
@@ -688,6 +697,19 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')
         assert run_cli(["segment", "--config", str(cfg), "--input", "x", "--output", "y"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("segment", '{"seed": 1, "seed": 2}', "duplicate key 'seed'"),
+            ("synth", '{"n-bg": 5, "n_bg": 60}', "names option 'n_bg' twice"),
+        ],
+    )
+    def test_config_repeated_option_is_usage_error(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_config_bad_type_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"

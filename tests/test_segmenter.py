@@ -3,8 +3,11 @@ straggler assignment, and cross-block fusion."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from conftest import oracle_fuse_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -374,6 +377,36 @@ class TestAssignStragglers:
         assert correct / labeled >= 0.85
 
 
+@st.composite
+def _fusion_cases(draw):
+    """Up to five binary block results, each labeling at most four of at most eight tracks.
+
+    With so few ids, boundaries often share no track or tie exactly,
+    votes often split evenly, and an empty label map is a skipped block.
+    Some tracks start late, so a head block can have a cluster with no
+    first-frame position.
+    """
+    n_ids = draw(st.integers(2, 8))
+    trajs = []
+    for tid in range(n_ids):
+        start = draw(st.sampled_from([0, 0, 5, 12]))
+        x0, y0 = draw(st.integers(60, 560)), draw(st.integers(60, 300))
+        vx, vy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+        trajs.append(_track(tid, start, 40 - start, float(x0), float(y0), vx, vy))
+    store = TrajectoryStore(tuple(trajs), 40, FRAME)
+    labels = st.dictionaries(st.integers(0, n_ids - 1), st.integers(0, 1), max_size=4)
+    maps = draw(st.lists(labels, min_size=1, max_size=5))
+    results = [BlockResult(Block(8 * b, 8 * b + 8, ()), m, ()) for b, m in enumerate(maps)]
+    return results, store
+
+
+def _fuse_with_warnings(fuse, results, store):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        fused = fuse(results, store)
+    return fused, [(w.category, str(w.message)) for w in record]
+
+
 class TestFuseBlocks:
     def test_single_block_foreground_is_smaller_bbox(self):
         scene = generate_scene(SceneParams(n_bg=25, n_fg=10, n_frames=30, sigma=0.0, seed=6))
@@ -466,6 +499,39 @@ class TestFuseBlocks:
         assert [w.category for w in record] == [BlockSkipped]
         assert [bool(r.labels) for r in results] == [True, False, True]
         assert fused == {t.id: int(t.id >= 10) for t in trajs}
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_fusion_cases())
+    def test_matches_the_former_four_passes(self, case):
+        results, store = case
+        got = _fuse_with_warnings(fuse_blocks, results, store)
+        assert got == _fuse_with_warnings(oracle_fuse_blocks, results, store)
+        assert {type(v) for v in got[0].values()} <= {int}
+
+    def test_agreement_tie_after_a_flipped_run_head(self):
+        # Tracks 0 and 1 sit close together at frame 0 and 2 and 3 far
+        # apart, so the bounding box flips the head block. The blocks share
+        # tracks 2 and 3 and only track 2 agrees: an exact tie, which keeps
+        # the later block's orientation relative to the head, so it is
+        # flipped with the head. Track 3's split vote goes to the head.
+        store = TrajectoryStore(
+            (
+                _track(0, 0, 20, 100.0, 100.0),
+                _track(1, 0, 20, 110.0, 105.0),
+                _track(2, 0, 20, 50.0, 50.0),
+                _track(3, 0, 20, 500.0, 300.0),
+                _track(4, 0, 20, 300.0, 200.0),
+                _track(5, 0, 20, 320.0, 60.0),
+            ),
+            20,
+            FRAME,
+        )
+        head = BlockResult(Block(0, 10, ()), {0: 0, 1: 0, 2: 1, 3: 1}, ())
+        tail = BlockResult(Block(10, 20, ()), {2: 1, 3: 0, 4: 1, 5: 0}, ())
+        want = {0: 1, 1: 1, 2: 0, 3: 0, 4: 0, 5: 1}
+        assert fuse_blocks([head, tail], store) == want
+        assert oracle_fuse_blocks([head, tail], store) == want
 
 
 class TestDeterminismAndStore:

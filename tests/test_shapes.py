@@ -91,6 +91,11 @@ class TestProjectToPreshape:
         with pytest.raises(DegenerateTrajectory):
             project_to_preshape(np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(InvalidPreShape, match="non-finite"):
+            project_to_preshape(np.array([[0.0, 0.0], [1.0, bad], [2.0, 1.0]]))
+
     def test_coinciding_points_away_from_the_origin(self):
         # One centering pass leaves these 38 equal points a residue above
         # DEGENERACY_EPS, which once failed the centering check.
@@ -276,6 +281,7 @@ class TestTypedValidationErrors:
             (lambda: PreShape(np.zeros((1, 2))), InvalidPreShape),
             (lambda: PreShape(np.array([[1.0, 0.0], [0.0, 0.0]])), InvalidPreShape),
             (lambda: PreShape(np.array([[-1.0, 0.0], [1.0, 0.0]])), InvalidPreShape),
+            (lambda: PreShape(np.full((3, 2), np.nan)), InvalidPreShape),
             (lambda: Rotation2D(np.eye(3)), InvalidRotation),
             (lambda: Rotation2D(np.array([[1.0, 0.0], [0.0, -1.0]])), InvalidRotation),
             (lambda: Rotation2D(np.array([[1.0, 0.5], [0.0, 1.0]])), InvalidRotation),
