@@ -8,10 +8,10 @@ import json
 import sys
 import typing
 
-from .errors import JittersegError
+from .errors import InvalidParameter, JittersegError
 from .io import parse_labels, parse_trajectories, serialize_labels, serialize_trajectories
 from .io import unique_keys
-from .segmenter import SegmenterParams, check_jobs, segment_store
+from .segmenter import SegmenterParams, check_at_most, segment_store
 from .synth import SceneParams, generate_scene, metrics_from_labels
 
 
@@ -63,7 +63,7 @@ _SEGMENT = _from_params(
     _Option("max_block_len", "frame cap per block"),
     _Option("min_block_len", None),
     _Option("seed", "clustering seed"),
-    _Option("jobs", "parallel block workers", int, 1),
+    _Option("jobs", "worker count; checked, but blocks always run on one thread", int, 1),
 )
 _SYNTH = _from_params(
     SceneParams,
@@ -161,11 +161,13 @@ def _record(command: str, params, options: tuple[_Option, ...]) -> dict:
 # inside a stage is a pipeline failure named after that stage (exit 1).
 def _segment(opts: dict):
     params = _params(SegmenterParams, _SEGMENT, opts)
-    check_jobs(opts["jobs"])
+    if opts["jobs"] < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {opts['jobs']}")
+    check_at_most("jobs", opts["jobs"])
     yield "parse"
     store = parse_trajectories(opts["input"])
     yield "segment"
-    results, fused = segment_store(store, params, jobs=opts["jobs"])
+    results, fused = segment_store(store, params)
     yield "write"
     serialize_labels(opts["output"], fused, results, _record("segment", params, _SEGMENT))
 

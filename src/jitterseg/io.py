@@ -50,8 +50,8 @@ def _records(path, object_pairs_hook=None):
     """Yield (line number, JSON value) for each non-blank line of a file.
 
     Undecodable bytes are read as escapes, so a line that is not UTF-8 or
-    not JSON is a ``ParseError`` with its number, and so is a
-    ``DuplicateKey`` from ``object_pairs_hook``.
+    not JSON is a ``ParseError`` with its number, and so are an integer
+    too long to convert and a ``DuplicateKey`` from ``object_pairs_hook``.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
@@ -69,6 +69,8 @@ def _records(path, object_pairs_hook=None):
                 raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
             except DuplicateKey as exc:
                 raise ParseError(str(exc), lineno) from None
+            except ValueError:  # an integer past Python's str-to-int digit limit
+                raise ParseError("invalid JSON (integer too long)", lineno) from None
             except RecursionError:
                 raise ParseError("invalid JSON (nested too deeply)", lineno) from None
             yield lineno, rec
@@ -111,13 +113,14 @@ def serialize_trajectories(store: TrajectoryStore, path) -> None:
 def parse_trajectories(path) -> TrajectoryStore:
     """Read a trajectory file into a store.
 
-    Records are read one line at a time. Their structure (JSON, keys,
-    integer types, point lists), ids and frame ranges are checked as they
-    are read, and their points are appended to one float64 buffer; the
-    JSON objects are dropped at once. Finiteness and the frame bounds are
-    checked once over the whole buffer. Whichever check fails, the error
-    is raised for the first faulty record in file order, with its line
-    number. The trajectories are read-only row views of the buffer.
+    Records are read one line at a time. Their structure (JSON, keys
+    named once, integer types, point lists), ids and frame ranges are
+    checked as they are read, and their points are appended to one
+    float64 buffer; the JSON objects are dropped at once. Finiteness and
+    the frame bounds are checked once over the whole buffer. Whichever
+    check fails, the error is raised for the first faulty record in file
+    order, with its line number. The trajectories are read-only row views
+    of the buffer.
     """
     header = None
     coords = array("d")
@@ -126,7 +129,7 @@ def parse_trajectories(path) -> TrajectoryStore:
     seen: set[int] = set()
     fault = None
     try:
-        for lineno, rec in _records(path):
+        for lineno, rec in _records(path, unique_keys):
             if not isinstance(rec, dict):
                 raise ParseError("record is not an object", lineno)
             if header is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -61,7 +60,7 @@ _TIE_EPS = 1e-12
 # Points per group in TrajectoryStore's bounds check (64 KiB of float pairs).
 _CHECK_ROWS = 4096
 
-# Upper bound of every count and size parameter and of ``jobs``. Larger
+# Upper bound of every count and size parameter and of ``--jobs``. Larger
 # values overflow numpy's integer and array-size arithmetic (a grid cell
 # index is cy * g + cx) before they could mean anything. Seeds are only
 # bounded below: numpy takes non-negative seeds of any size.
@@ -477,48 +476,31 @@ def fuse_blocks(results: Sequence[BlockResult], store: TrajectoryStore) -> dict[
     }
 
 
-def check_jobs(jobs: int) -> None:
-    """Raise InvalidParameter unless ``jobs`` is a usable worker count."""
-    if jobs < 1:
-        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
-    check_at_most("jobs", jobs)
-
-
 def segment_store(
-    store: TrajectoryStore, params: SegmenterParams, jobs: int = 1
+    store: TrajectoryStore, params: SegmenterParams
 ) -> tuple[list[BlockResult], dict[int, int]]:
     """Run the full sparse pipeline: partition, segment each block, fuse.
 
-    Blocks are independent, so ``jobs > 1`` processes them concurrently;
-    results are collected in block order either way, so parallel and
-    serial runs produce identical output. ``jobs < 1`` raises
-    InvalidParameter.
+    Blocks are segmented one after another on the calling thread. Their
+    work is short numpy calls that hold the interpreter lock, so worker
+    threads only contend for it and for the BLAS threads.
 
     A block with too few representatives is left unlabeled (an empty
     ``BlockResult``) with a ``BlockSkipped`` warning naming its frame
     range; when every block fails, the first block's
     ``TooFewRepresentatives`` is raised.
     """
-    check_jobs(jobs)
     blocks = partition_blocks(store, params)
-
-    def run(block: Block) -> BlockResult | TooFewRepresentatives:
-        try:
-            return segment_block(store, block, params)
-        except TooFewRepresentatives as exc:
-            return exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, blocks))
-    else:
-        outcomes = [run(b) for b in blocks]
-    if all(isinstance(o, TooFewRepresentatives) for o in outcomes):
-        raise outcomes[0]
     results = []
-    for block, outcome in zip(blocks, outcomes):
-        if isinstance(outcome, TooFewRepresentatives):
-            warnings.warn(BlockSkipped(f"block {block.frame_range} left unlabeled: {outcome}"))
-            outcome = BlockResult(block, {}, ())
-        results.append(outcome)
+    skipped = []  # (block, error) per block left unlabeled
+    for block in blocks:
+        try:
+            results.append(segment_block(store, block, params))
+        except TooFewRepresentatives as exc:
+            results.append(BlockResult(block, {}, ()))
+            skipped.append((block, exc))
+    if len(skipped) == len(blocks):
+        raise skipped[0][1]
+    for block, exc in skipped:
+        warnings.warn(BlockSkipped(f"block {block.frame_range} left unlabeled: {exc}"))
     return results, fuse_blocks(results, store)

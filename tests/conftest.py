@@ -32,7 +32,7 @@ from jitterseg.errors import (
     NoSharedTrajectories,
     ParseError,
 )
-from jitterseg.io import _is_int, _parse_header, _valid_points
+from jitterseg.io import DuplicateKey, _is_int, _parse_header, _valid_points, unique_keys
 from jitterseg.shapes import stack_preshapes, unit_phase
 
 
@@ -409,9 +409,13 @@ def oracle_parse_trajectories(path) -> TrajectoryStore:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
+            except DuplicateKey as exc:
+                raise ParseError(str(exc), lineno) from None
+            except ValueError:  # more digits than int() converts
+                raise ParseError("invalid JSON (integer too long)", lineno) from None
             if not isinstance(rec, dict):
                 raise ParseError("record is not an object", lineno)
             if header is None:

@@ -44,6 +44,8 @@ FAULTS = (
     "duplicate_id",
     "huge_int",
     "huge_id",
+    "long_int",
+    "duplicate_key",
 )
 
 _JSON_LITERALS = {"nan": "NaN", "infinity": "Infinity"}
@@ -109,6 +111,12 @@ def trajectory_files(draw, fault=None):
         axis = draw(st.integers(0, 1))
         if kind == "bad_json":
             texts[k] = draw(st.sampled_from(["not json", "[1, 2", '{"id": 1,}']))
+        elif kind == "long_int":  # more digits than int() converts; json.dumps refuses it
+            texts[k] = '{"id":%s,"start":0,"points":[[1,1],[2,2]]}' % ("7" * 5000)
+        elif kind == "duplicate_key":
+            key = draw(st.sampled_from(["id", "start", "points"]))
+            repeat = ", %s: %s}" % (json.dumps(key), json.dumps(rec[key]))
+            texts[k] = json.dumps(rec)[:-1] + repeat
         elif kind in ("bool", "null", "string"):
             rec["points"][p][axis] = {"bool": True, "null": None, "string": "1"}[kind]
         elif kind in _JSON_LITERALS:
@@ -199,6 +207,30 @@ class TestParserOracle:
             (
                 '{"frames":3,"width":%d,"height":100}\n' % 10**400,
                 "line 1: header 'width' must be <= 2147483647",
+            ),
+            pytest.param(
+                '{"frames":3,"width":100,"height":100}\n'
+                '{"id":0,"start":0,"points":[[1,1],[%s,1]]}\n' % ("9" * 5000),
+                "line 2: invalid JSON (integer too long)",
+                id="5000-digit-coordinate",
+            ),
+            # A repeated key, in the header too; json.loads alone keeps the last.
+            pytest.param(
+                '{"frames":3,"width":100,"height":100,"frames":4}\n',
+                "line 1: duplicate key 'frames'",
+                id="duplicate-header-key",
+            ),
+            pytest.param(
+                '{"frames":3,"width":100,"height":100}\n'
+                '{"id":1,"id":2,"start":0,"points":[[1,1],[2,1]]}\n',
+                "line 2: duplicate key 'id'",
+                id="duplicate-id-key",
+            ),
+            pytest.param(
+                '{"frames":3,"width":100,"height":100}\n'
+                '{"id":1,"start":0,"points":[[1,1],[2,1]],"points":[[1,1],[2,1]]}\n',
+                "line 2: duplicate key 'points'",
+                id="duplicate-points-key",
             ),
         ],
     )

@@ -7,8 +7,10 @@ import functools
 import json
 import re
 import tempfile
+import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from jitterseg import (
     parse_labels,
     parse_trajectories,
     segment_store,
+    segmenter,
     serialize_labels,
     serialize_trajectories,
 )
@@ -32,7 +35,6 @@ from jitterseg.errors import (
     BlockSkipped,
     BoundsError,
     DuplicateId,
-    InvalidParameter,
     ParseError,
 )
 from jitterseg.io import _valid_points
@@ -556,6 +558,35 @@ class TestCli:
             "trajectory 0 has an integer coordinate too large for a float\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            (
+                "segment",
+                '{"frames":3,"width":100,"height":100}\n'
+                '{"id":%s,"start":0,"points":[[1,1],[2,1]]}\n' % ("7" * 5000),
+                2,
+            ),
+            ("eval", '{"type":"fused","labels":{"7":%s}}\n' % ("1" * 5000), 1),
+        ],
+        ids=["segment", "eval"],
+    )
+    def test_overlong_integer_is_one_line_pipeline_error(
+        self, tmp_path, capsys, command, text, line
+    ):
+        # 5000 digits: more than int() converts by default (4300).
+        path = tmp_path / "in.jsonl"
+        path.write_text(text)
+        if command == "segment":
+            argv = ["segment", "--input", str(path), "--output", str(tmp_path / "x")]
+        else:
+            argv = ["eval", "--pred", str(path), "--gt", str(path)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"jitterseg {command}: parse stage failed: "
+            f"line {line}: invalid JSON (integer too long)\n"
+        )
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         traj, _ = self._synth(tmp_path, 0.0)
@@ -573,12 +604,6 @@ class TestCli:
         assert run_cli(["segment", "--config", str(cfg), "--output", str(out)]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_segment_store_rejects_jobs_below_one(self, jobs):
-        scene = generate_scene(SceneParams(n_bg=10, n_fg=4, n_frames=12, sigma=0.0, seed=1))
-        with pytest.raises(InvalidParameter):
-            segment_store(scene.store, SegmenterParams(), jobs=jobs)
 
     def test_motionless_track_stays_unlabeled(self, tmp_path):
         # The README scene plus one spanning track that never moves, put
@@ -659,6 +684,24 @@ class TestCli:
         assert run_cli(base + ["--output", str(serial)]) == 0
         assert run_cli(base + ["--output", str(parallel), "--jobs", "4"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_blocks_run_on_the_calling_thread(self, tmp_path):
+        traj = tmp_path / "long.jsonl"
+        gt = tmp_path / "long_gt.jsonl"
+        synth = ["synth", "--sigma", "0.15", "--n-bg", "40", "--n-fg", "15", "--frames", "80"]
+        assert run_cli([*synth, "--seed", "3", "--out", str(traj), "--gt", str(gt)]) == 0
+        threads = []
+        segment_block = segmenter.segment_block
+
+        def record(*args):
+            threads.append(threading.get_ident())
+            return segment_block(*args)
+
+        argv = ["segment", "--input", str(traj), "--output", str(tmp_path / "labels.jsonl")]
+        with mock.patch("jitterseg.segmenter.segment_block", record):
+            assert run_cli([*argv, "--max-block-len", "20", "--jobs", "2"]) == 0
+        assert len(threads) == 4
+        assert set(threads) == {threading.get_ident()}
 
     def test_non_utf8_input_is_one_line_pipeline_error(self, tmp_path, capsys):
         traj = tmp_path / "t.jsonl"

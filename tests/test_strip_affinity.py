@@ -1,4 +1,4 @@
-"""Strip-tiled affinity against its row loop, and serial against parallel runs.
+"""Strip-tiled affinity against its row loop, and blocks run in any order.
 
 ``build_affinity`` computes the literal residuals for a strip of rows
 against every later column at once and keeps the upper triangle;
@@ -18,15 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jitterseg import (
+    BlockResult,
     SceneParams,
     SegmenterParams,
     Trajectory,
     TrajectoryStore,
     build_affinity,
     clustering,
+    fuse_blocks,
     generate_scene,
+    partition_blocks,
+    segment_block,
     segment_store,
 )
+from jitterseg.errors import TooFewRepresentatives
 from jitterseg.shapes import project_rows
 
 from conftest import oracle_affinity_rows
@@ -106,6 +111,13 @@ def _multi_block_store(seed: int, n_frames: int, sigma: float, cut_frac: float):
     return TrajectoryStore(tuple(trajs), n_frames, scene.store.frame_size)
 
 
+def _segment_alone(store, block, params):
+    try:
+        return segment_block(store, block, params)
+    except TooFewRepresentatives:
+        return BlockResult(block, {}, ())
+
+
 class TestSerialEqualsParallel:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -120,11 +132,15 @@ class TestSerialEqualsParallel:
         params = SegmenterParams(seed=seed % 100, max_block_len=block_len)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            serial, fused_serial = segment_store(store, params, jobs=1)
-            parallel, fused_parallel = segment_store(store, params, jobs=2)
+            serial, fused_serial = segment_store(store, params)
+            # Each block alone, the last one first: no block's result
+            # depends on the blocks segmented before it.
+            blocks = partition_blocks(store, params)
+            alone = [_segment_alone(store, b, params) for b in reversed(blocks)][::-1]
+            fused_alone = fuse_blocks(alone, store)
         assert len(serial) >= 2
-        assert fused_serial == fused_parallel
-        for a, b in zip(serial, parallel):
+        assert fused_serial == fused_alone
+        for a, b in zip(serial, alone, strict=True):
             assert a.block == b.block
             assert a.labels == b.labels
             assert len(a.means) == len(b.means)
