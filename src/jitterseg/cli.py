@@ -62,7 +62,7 @@ _SEGMENT = _from_params(
     _Option("grid", "representative grid resolution", field="grid_cells"),
     _Option("max_block_len", "frame cap per block"),
     _Option("min_block_len", None),
-    _Option("seed", "clustering seed"),
+    _Option("seed", "clustering seed; recorded, does not affect labels"),
     _Option("jobs", "worker count; checked, but blocks always run on one thread", int, 1),
 )
 _SYNTH = _from_params(

@@ -3,9 +3,9 @@
 The affinity between two trajectories is the exponentiated negative
 Procrustes distance between their pre-shapes: trajectories that move
 together sit close in shape space and get affinity near 1. Clustering
-is a two-way cut (the moving object and its background): the
-eigenvectors of the two smallest eigenvalues of the normalized symmetric
-Laplacian, row normalization, and a deterministic seeded 2-means.
+is a two-way cut (the moving object and its background): the normalized
+cut of Shi & Malik, swept over the thresholds of the second generalized
+eigenvector of the graph. It has no seed and no iteration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClusterCollapse, InvalidAffinity, InvalidAssignment, InvalidParameter
+from .errors import InvalidAffinity, InvalidAssignment, InvalidParameter
 from .shapes import PreShape, procrustes_residuals, stack_preshapes, unit_phase
 
 DEFAULT_OMEGA = 0.02
@@ -26,9 +26,6 @@ DEFAULT_OMEGA = 0.02
 # 2**14 (past glibc's default 128 KiB mmap threshold) clip scenes ran
 # about 1 ms slower end to end and peak RSS was about 0.4 MB higher.
 AFFINITY_STRIP_ELEMENTS = 2**13
-
-KMEANS_MAX_ITERS = 100
-KMEANS_RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -123,63 +120,40 @@ def build_affinity(
 
 
 def _spectral_embedding(values: np.ndarray) -> np.ndarray:
-    """Row-normalized eigenvectors of the two smallest Laplacian eigenvalues.
+    """The second generalized eigenvector ``y = D^{-1/2} v2`` of the graph.
 
-    Eigenvector signs are left as ``eigh`` returns them. Negating a column
-    negates every k-means center exactly and leaves every distance
-    bitwise the same, so no label depends on the sign.
+    ``v2`` is the eigenvector of the second smallest eigenvalue of the
+    normalized symmetric Laplacian, with its sign as ``eigh`` returns it.
     """
-    degrees = values.sum(axis=1)
-    d_isqrt = 1.0 / np.sqrt(degrees)
+    d_isqrt = 1.0 / np.sqrt(values.sum(axis=1))
     lap = np.eye(len(values)) - d_isqrt[:, None] * values * d_isqrt[None, :]
     lap = (lap + lap.T) / 2.0  # scrub rounding asymmetry before eigh
-    _, vecs = np.linalg.eigh(lap)
-    emb = vecs[:, :2].copy()
-    norms = np.linalg.norm(emb, axis=1)
-    nonzero = norms > 0.0
-    emb[nonzero] /= norms[nonzero, None]
-    return emb
+    return np.linalg.eigh(lap)[1][:, 1] * d_isqrt
 
 
-def _farthest_first_centers(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Seeded first center, then the point farthest from it."""
-    first = int(rng.integers(len(points)))
-    dist = np.linalg.norm(points - points[first], axis=1)
-    return points[[first, int(np.argmax(dist))]]  # ties resolve to the lowest index
+def spectral_cluster(afy: AffinityMatrix) -> ClusterAssignment:
+    """Cut the affinity graph in two by a normalized-cut sweep (Shi & Malik).
 
-
-def _kmeans_once(points: np.ndarray, seed: int) -> np.ndarray | None:
-    """One Lloyd run; None when a cluster empties out."""
-    rng = np.random.default_rng(seed)
-    centers = _farthest_first_centers(points, rng)
-    labels = np.full(len(points), -1, dtype=int)
-    for _ in range(KMEANS_MAX_ITERS):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        if np.all(new_labels == new_labels[0]):
-            return None
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in (0, 1):
-            centers[c] = points[labels == c].mean(axis=0)
-    return labels
-
-
-def spectral_cluster(afy: AffinityMatrix, seed: int) -> ClusterAssignment:
-    """Cut the affinity graph into two non-empty clusters.
-
-    Deterministic for a fixed (afy, seed). On an empty-cluster collapse
-    the k-means stage is restarted with incremented seeds up to
-    ``KMEANS_RESTARTS`` times before giving up.
+    The representatives are sorted by ``y`` (``_spectral_embedding``) and
+    every threshold between two distinct values of ``y`` is scored by
+    ``Ncut = cut/vol + cut/(total - vol)``, with ``vol`` the degree sum of
+    the prefix and ``cut`` its weight to the rest; the smallest score
+    wins. Both sides are non-empty by construction. ``y`` is first given
+    one sign (its first nonzero entry negative), so the sweep is the same
+    bit for bit whichever sign ``eigh`` returns and an Ncut tie goes to
+    the same threshold; label 0 is the side holding representative 0.
     """
     if afy.size < 2:
         raise InvalidParameter(f"need at least 2 shapes, got {afy.size}")
-    emb = _spectral_embedding(afy.values)
-    for attempt in range(1 + KMEANS_RESTARTS):
-        labels = _kmeans_once(emb, seed + attempt)
-        if labels is not None:
-            return ClusterAssignment(tuple(labels.tolist()))
-    raise ClusterCollapse(
-        f"empty cluster persisted through {KMEANS_RESTARTS} re-seeded restarts"
-    )
+    y = _spectral_embedding(afy.values)
+    if y[np.flatnonzero(y)[0]] > 0.0:
+        y = -y
+    order = np.argsort(y, kind="stable")
+    w = afy.values[np.ix_(order, order)]
+    vol = np.cumsum(w.sum(axis=1))
+    cut = (vol - np.diagonal(np.cumsum(np.cumsum(w, axis=0), axis=1)))[:-1]
+    total, vol = vol[-1], vol[:-1]
+    ncut = np.where(np.diff(y[order]) > 0.0, cut / vol + cut / (total - vol), np.inf)
+    labels = np.empty(afy.size, dtype=int)
+    labels[order] = np.arange(afy.size) > np.argmin(ncut)
+    return ClusterAssignment(tuple((labels ^ labels[0]).tolist()))

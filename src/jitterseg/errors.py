@@ -45,10 +45,6 @@ class InvalidAssignment(JittersegError, ValueError):
     """Cluster labels are not all 0 or 1, or leave one of the two clusters empty."""
 
 
-class ClusterCollapse(JittersegError):
-    """k-means kept producing an empty cluster after all re-seeded restarts."""
-
-
 class EmptyCluster(JittersegError):
     """An alignment was requested for an empty member set."""
 

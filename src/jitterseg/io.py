@@ -179,6 +179,10 @@ def _parse_record(rec: dict, lineno: int, header, seen: set, coords: array):
             raise ParseError(f"record missing '{key}'", lineno)
     if not _is_int(rec["id"]) or not _is_int(rec["start"]):
         raise ParseError("'id' and 'start' must be integers", lineno)
+    # The store keeps ids as int64. ('start' past the header's frames is a
+    # BoundsError below.)
+    if not -(2**63) <= rec["id"] < 2**63:
+        raise ParseError("'id' must fit in a 64-bit integer", lineno)
     pts = rec["points"]
     if not _valid_points(pts):
         raise ParseError("'points' must be a list of >= 2 [x, y] pairs", lineno)
@@ -260,6 +264,11 @@ def serialize_labels(
         f.write("\n")
 
 
+def _clip(key: str) -> str:
+    """A label key as an error shows it: whole up to 23 characters, else 20 and '...'."""
+    return key if len(key) <= 23 else key[:20] + "..."
+
+
 def _parse_label_map(obj, lineno: int) -> dict[int, int]:
     if not isinstance(obj, dict):
         raise ParseError("'labels' must be an object", lineno)
@@ -271,9 +280,9 @@ def _parse_label_map(obj, lineno: int) -> dict[int, int]:
             tid = None
         # One id, one spelling: "07", " 7" or "7_0" would alias another key.
         if tid is None or str(tid) != k:
-            raise ParseError(f"label key {k!r} is not a canonical integer id", lineno)
+            raise ParseError(f"label key {_clip(k)!r} is not a canonical integer id", lineno)
         if not _is_int(v) or v not in (0, 1):
-            raise ParseError(f"label for id {k} must be 0 or 1", lineno)
+            raise ParseError(f"label for id {_clip(k)} must be 0 or 1", lineno)
         out[tid] = v
     return out
 

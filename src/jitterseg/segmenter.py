@@ -187,8 +187,9 @@ class SegmenterParams:
 
     Defaults: affinity bandwidth 0.02, 70% coverage threshold for late
     labeling, 10% minimum spanning fraction per block, a 16x16
-    representative grid. ``lam``, ``outer_iters`` and ``jacobi_iters``
-    are checked and recorded but do not affect labels. The pipeline
+    representative grid. ``lam``, ``outer_iters``, ``jacobi_iters`` and
+    ``seed`` are checked and recorded but do not affect labels: the
+    normalized-cut sweep that clusters a block has no seed. The pipeline
     segments one moving object, so there are always ``m = 2`` clusters.
     Every float must be finite, every int at most ``MAX_INT_PARAM`` and
     the seed non-negative (``InvalidParameter`` otherwise).
@@ -337,7 +338,7 @@ def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams)
     """
     reps = select_representatives(store, block, params)
     z = project_rows(_windows(store, reps, block.start, block.end))
-    assignment = spectral_cluster(build_affinity(z, params.omega), params.seed)
+    assignment = spectral_cluster(build_affinity(z, params.omega))
     means = tuple(gpa_align(z, assignment.members(c)).mean for c in (0, 1))
     result = BlockResult(block, dict(zip(reps, assignment.labels)), means)
     return replace(result, labels=assign_stragglers(result, store, block, params))

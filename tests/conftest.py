@@ -22,10 +22,8 @@ from jitterseg import (
     spectral_cluster,
     stabilize_mean,
 )
-from jitterseg.clustering import KMEANS_MAX_ITERS, KMEANS_RESTARTS
 from jitterseg.errors import (
     BoundsError,
-    ClusterCollapse,
     DegenerateTrajectory,
     DuplicateId,
     InvalidParameter,
@@ -226,7 +224,7 @@ def oracle_segment_block(store, block, params) -> BlockResult:
             project_to_preshape(t.points[block.start - t.start_frame : block.end - t.start_frame])
         )
     for _ in range(params.outer_iters):
-        assignment = spectral_cluster(build_affinity(shapes, params.omega), params.seed)
+        assignment = spectral_cluster(build_affinity(shapes, params.omega))
         new_shapes = list(shapes)
         means = []
         for c in range(params.m):
@@ -327,14 +325,19 @@ def oracle_fuse_blocks(results, store) -> dict[int, int]:
     return fused
 
 
-def oracle_spectral_cluster(values: np.ndarray, m: int, seed: int) -> tuple[int, ...]:
-    """``spectral_cluster`` as its former m-way, sign-canonicalizing version.
+# The former k-means stage's iteration cap and re-seeded restarts.
+_KMEANS_MAX_ITERS = 100
+_KMEANS_RESTARTS = 5
+
+
+def oracle_spectral_cluster(values: np.ndarray, m: int, seed: int) -> tuple[int, ...] | None:
+    """``spectral_cluster`` as its former m-way, seeded k-means version.
 
     Embeds with the eigenvectors of the m smallest Laplacian eigenvalues,
     flips each column so its first nonzero component is positive,
     row-normalizes, then runs farthest-first seeded k-means with up to
-    ``KMEANS_RESTARTS`` re-seeded restarts. Returns the labels, or raises
-    ``ClusterCollapse`` with the same message as ``spectral_cluster``.
+    five re-seeded restarts. Returns the labels, or None when every
+    restart empties a cluster.
     """
     degrees = values.sum(axis=1)
     d_isqrt = 1.0 / np.sqrt(degrees)
@@ -349,7 +352,7 @@ def oracle_spectral_cluster(values: np.ndarray, m: int, seed: int) -> tuple[int,
                 break
     norms = np.linalg.norm(emb, axis=1)
     emb[norms > 0.0] /= norms[norms > 0.0, None]
-    for attempt in range(1 + KMEANS_RESTARTS):
+    for attempt in range(1 + _KMEANS_RESTARTS):
         rng = np.random.default_rng(seed + attempt)
         chosen = [int(rng.integers(len(emb)))]
         dist = np.linalg.norm(emb - emb[chosen[0]], axis=1)
@@ -359,7 +362,7 @@ def oracle_spectral_cluster(values: np.ndarray, m: int, seed: int) -> tuple[int,
             dist = np.minimum(dist, np.linalg.norm(emb - emb[nxt], axis=1))
         centers = emb[chosen].copy()
         labels = np.full(len(emb), -1, dtype=int)
-        for _ in range(KMEANS_MAX_ITERS):
+        for _ in range(_KMEANS_MAX_ITERS):
             d2 = ((emb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = np.argmin(d2, axis=1)
             if np.any(np.bincount(new_labels, minlength=m) == 0):
@@ -372,9 +375,32 @@ def oracle_spectral_cluster(values: np.ndarray, m: int, seed: int) -> tuple[int,
                 centers[c] = emb[labels == c].mean(axis=0)
         if labels is not None:
             return tuple(int(x) for x in labels)
-    raise ClusterCollapse(
-        f"empty cluster persisted through {KMEANS_RESTARTS} re-seeded restarts"
-    )
+    return None
+
+
+def oracle_ncut(values: np.ndarray, y: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Every threshold cut of ``y`` and its normalized cut, summed directly.
+
+    For each value ``t`` of ``y`` below its maximum, the side ``y <= t``
+    against the rest; the cut is the sum of the affinities across,
+    each volume the sum of its side's degrees. Keys are the labels with
+    representative 0 on side 0.
+    """
+    k = len(values)
+    cuts = {}
+    for t in sorted(set(y.tolist()))[:-1]:
+        side = [1 if y[i] > t else 0 for i in range(k)]
+        cut = vol = total = 0.0
+        for i in range(k):
+            for j in range(k):
+                total += values[i, j]
+                if side[i] == 0:
+                    vol += values[i, j]
+                    if side[j] == 1:
+                        cut += values[i, j]
+        labels = tuple(s ^ side[0] for s in side)
+        cuts[labels] = cut / vol + cut / (total - vol)
+    return cuts
 
 
 def _oracle_is_number(v) -> bool:
@@ -435,6 +461,8 @@ def _oracle_parse_record(rec: dict, lineno: int, header, seen: set) -> Trajector
             raise ParseError(f"record missing '{key}'", lineno)
     if not _is_int(rec["id"]) or not _is_int(rec["start"]):
         raise ParseError("'id' and 'start' must be integers", lineno)
+    if not -(2**63) <= rec["id"] <= 2**63 - 1:
+        raise ParseError("'id' must fit in a 64-bit integer", lineno)
     pts = rec["points"]
     if not _valid_points(pts):
         raise ParseError("'points' must be a list of >= 2 [x, y] pairs", lineno)

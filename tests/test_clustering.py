@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +18,9 @@ from jitterseg import (
     spectral_cluster,
     to_preshape,
 )
-from jitterseg.clustering import DEFAULT_OMEGA, _kmeans_once, _spectral_embedding
+import jitterseg.clustering as clustering
+from jitterseg.clustering import DEFAULT_OMEGA, _spectral_embedding
 from jitterseg.errors import (
-    ClusterCollapse,
     InvalidAffinity,
     InvalidAssignment,
     InvalidParameter,
@@ -31,6 +29,7 @@ from jitterseg.errors import (
 )
 
 from conftest import (
+    oracle_ncut,
     oracle_spectral_cluster,
     random_preshape,
     random_trajectory_points,
@@ -125,9 +124,35 @@ class TestBuildAffinity:
             build_affinity([random_preshape(rng, 30), random_preshape(rng, 10)])
 
 
-def _random_affinity(rng: np.random.Generator, k: int) -> np.ndarray:
-    values = np.triu(rng.uniform(1e-3, 1.0, size=(k, k)), 1)
-    values = values + values.T
+AFFINITY_KINDS = ["random", "duplicates", "two_groups", "disconnected", "all_ones"]
+
+
+def _affinity(rng: np.random.Generator, k: int, kind: str, n_first: int | None = None) -> np.ndarray:
+    """A K x K affinity of one kind, rows in shuffled order.
+
+    ``random``: independent entries. ``duplicates``: rows repeated from
+    a smaller random affinity (identical shapes). ``two_groups``: two
+    groups (the first of ``n_first`` members) with weak affinity across.
+    ``disconnected``: three to five groups with 1e-300 across.
+    ``all_ones``: every shape identical.
+    """
+    if kind in ("random", "duplicates"):
+        n = k if kind == "random" else int(rng.integers(1, k + 1))
+        values = np.triu(rng.uniform(1e-3, 1.0, size=(n, n)), 1)
+        values = values + values.T
+        np.fill_diagonal(values, 1.0)
+        idx = np.arange(k) if kind == "random" else rng.integers(0, n, size=k)
+        return values[idx][:, idx]
+    if kind == "all_ones":
+        return np.ones((k, k))
+    if kind == "two_groups":
+        first = int(rng.integers(1, k)) if n_first is None else n_first
+        group = rng.permutation(np.arange(k) >= first)
+        across = rng.uniform(1e-6, 0.1)
+    else:
+        group = rng.integers(0, int(rng.integers(3, 6)), size=k)
+        across = 1e-300
+    values = np.where(group[:, None] == group[None, :], rng.uniform(0.5, 1.0), across)
     np.fill_diagonal(values, 1.0)
     return values
 
@@ -145,7 +170,7 @@ class TestSpectralCluster:
 
     def test_separates_exact_blocks(self):
         afy = self._block_affinity([7, 5])
-        assign = spectral_cluster(afy, seed=0)
+        assign = spectral_cluster(afy)
         assert _partition_sets(assign.labels) == {
             frozenset(range(7)),
             frozenset(range(7, 12)),
@@ -154,58 +179,45 @@ class TestSpectralCluster:
     def test_two_points_two_clusters(self):
         # Forced one-per-cluster, whatever the affinity says.
         afy = AffinityMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]))
-        assign = spectral_cluster(afy, seed=3)
+        assign = spectral_cluster(afy)
         assert sorted(assign.labels) == [0, 1]
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         shapes = [random_preshape(rng) for _ in range(12)]
         afy = build_affinity(shapes)
-        first = spectral_cluster(afy, seed=42)
+        first = spectral_cluster(afy)
         for _ in range(3):
-            assert spectral_cluster(afy, seed=42).labels == first.labels
+            assert spectral_cluster(afy).labels == first.labels
 
     def test_label_permutation_is_partition_equal(self):
-        afy = self._block_affinity([6, 6])
-        a = spectral_cluster(afy, seed=0)
-        b = spectral_cluster(afy, seed=11)
-        assert _partition_sets(a.labels) == _partition_sets(b.labels)
+        # Reordering the representatives reorders the partition; label 0
+        # goes to the side holding representative 0.
+        afy = self._block_affinity([5, 7])
+        assert spectral_cluster(afy).labels == (0,) * 5 + (1,) * 7
+        order = [11, 0, 3, 8, 6, 1, 9, 2, 10, 4, 7, 5]
+        permuted = AffinityMatrix(afy.values[order][:, order])
+        assert spectral_cluster(permuted).labels == tuple(int(i < 5) for i in order)
 
     def test_synthetic_scene_accuracy(self):
         scene = generate_scene(SceneParams(n_bg=60, n_fg=20, n_frames=30, sigma=0.05, seed=7))
         shapes = [to_preshape(t) for t in scene.store.trajectories]
         afy = build_affinity(shapes)
-        labels = np.array(spectral_cluster(afy, seed=7).labels)
+        labels = np.array(spectral_cluster(afy).labels)
         truth = np.array([scene.ground_truth[t.id] for t in scene.store.trajectories])
         agree = np.mean(labels == truth)
         assert max(agree, 1.0 - agree) >= 0.9
 
     def test_fewer_than_two_shapes(self):
         with pytest.raises(InvalidParameter):
-            spectral_cluster(AffinityMatrix(np.ones((1, 1))), seed=0)
+            spectral_cluster(AffinityMatrix(np.ones((1, 1))))
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(8)
         shapes = [random_preshape(rng) for _ in range(9)]
         afy = build_affinity(shapes)
-        assign = spectral_cluster(afy, seed=1)
+        assign = spectral_cluster(afy)
         assert set(assign.labels) == {0, 1}
-
-    def test_collapse_raises(self, monkeypatch):
-        # The spectral embedding itself always separates duplicates, so a
-        # genuine collapse is forced by stubbing it with identical rows:
-        # every restart must empty one of the two clusters.
-        import jitterseg.clustering as mod
-
-        degenerate = np.array([[1.0, 0.0]] * 8)
-        monkeypatch.setattr(mod, "_spectral_embedding", lambda values: degenerate)
-        afy = AffinityMatrix(np.ones((8, 8)))
-        with pytest.raises(ClusterCollapse):
-            spectral_cluster(afy, seed=0)
-
-    def test_kmeans_reports_empty_cluster(self):
-        points = np.array([[0.6, 0.8]] * 5)
-        assert _kmeans_once(points, seed=0) is None
 
     def test_eigensolver_residual(self):
         rng = np.random.default_rng(9)
@@ -219,49 +231,51 @@ class TestSpectralCluster:
         for i in range(15):
             assert np.linalg.norm(lap @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-8
 
-    @PROPERTY
-    @given(st.integers(2, 40), st.sampled_from(["embedding", "normal", "grid"]), st.data())
-    def test_labels_do_not_depend_on_embedding_signs(self, k, kind, data):
-        # Negating a column negates every center exactly and leaves every
-        # distance bitwise the same, whatever sign eigh returns.
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if kind == "embedding":
-            points = _spectral_embedding(_random_affinity(rng, k))
-        elif kind == "normal":
-            points = rng.standard_normal((k, 2))
-        else:  # duplicates and exact distance ties
-            points = rng.integers(-2, 3, size=(k, 2)).astype(float)
-        seed = data.draw(st.integers(0, 1000))
-        base = _kmeans_once(points, seed)
-        for signs in ([-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
-            flipped = _kmeans_once(points * np.array(signs), seed)
-            if base is None:
-                assert flipped is None
-            else:
-                assert np.array_equal(flipped, base)
+    @pytest.mark.parametrize("y", [[-1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+    def test_equal_values_of_y_stay_on_one_side(self, monkeypatch, y):
+        # Cutting off representative 0 alone would cut far less, but the
+        # only threshold between distinct values of y is the middle one.
+        values = np.full((4, 4), 1e-3)
+        values[1:, 1:] = 1.0
+        np.fill_diagonal(values, 1.0)
+        monkeypatch.setattr(clustering, "_spectral_embedding", lambda v: np.array(y))
+        assert spectral_cluster(AffinityMatrix(values)).labels == (0, 0, 1, 1)
 
     @PROPERTY
-    @given(st.integers(2, 40), st.sampled_from(["random", "two_groups", "disconnected"]), st.data())
-    def test_matches_former_m_way_clustering(self, k, kind, data):
+    @given(st.integers(2, 40), st.sampled_from(AFFINITY_KINDS), st.data())
+    def test_matches_brute_force_ncut(self, k, kind, data):
+        # The sweep's cumulative sums and the oracle's direct sums round
+        # differently, so a threshold whose Ncut is within 1e-10 of the
+        # smallest may win instead of it.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if kind == "random":
-            values = _random_affinity(rng, k)
-        else:
-            # Two groups, or three or more numerically disconnected ones,
-            # in shuffled order.
-            n_groups = 2 if kind == "two_groups" else int(rng.integers(3, 6))
-            group = rng.integers(0, n_groups, size=k)
-            across = rng.uniform(1e-6, 0.1) if kind == "two_groups" else 1e-300
-            values = np.where(group[:, None] == group[None, :], rng.uniform(0.5, 1.0), across)
-            np.fill_diagonal(values, 1.0)
-        seed = data.draw(st.integers(0, 1000))
-        try:
-            expected = oracle_spectral_cluster(values, 2, seed)
-        except ClusterCollapse as exc:
-            with pytest.raises(ClusterCollapse, match=re.escape(str(exc))):
-                spectral_cluster(AffinityMatrix(values), seed)
-        else:
-            assert spectral_cluster(AffinityMatrix(values), seed).labels == expected
+        values = _affinity(rng, k, kind)
+        cuts = oracle_ncut(values, _spectral_embedding(values))
+        labels = spectral_cluster(AffinityMatrix(values)).labels
+        assert labels in cuts
+        assert cuts[labels] <= min(cuts.values()) + 1e-10
+
+    @PROPERTY
+    @given(st.integers(2, 40), st.sampled_from(AFFINITY_KINDS), st.data())
+    def test_labels_do_not_depend_on_embedding_signs(self, k, kind, data):
+        # Negating v2 (and so y) gives the same labels, Ncut ties included.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        afy = AffinityMatrix(_affinity(rng, k, kind))
+        base = spectral_cluster(afy).labels
+        embed = clustering._spectral_embedding
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(clustering, "_spectral_embedding", lambda values: -embed(values))
+            assert spectral_cluster(afy).labels == base
+
+    @PROPERTY
+    @given(st.integers(2, 40), st.data())
+    def test_matches_former_m_way_clustering(self, k, data):
+        # On two groups the cut and the former seeded k-means agree up to
+        # which group is called 0.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = _affinity(rng, k, "two_groups", data.draw(st.integers(1, k - 1)))
+        expected = oracle_spectral_cluster(values, 2, data.draw(st.integers(0, 1000)))
+        got = spectral_cluster(AffinityMatrix(values)).labels
+        assert _partition_sets(got) == _partition_sets(expected)
 
 
 class TestAffinityType:

@@ -131,8 +131,8 @@ def trajectory_files(draw, fault=None):
             rec["id"] = records[draw(st.integers(0, len(records) - 1))]["id"]
         elif kind == "huge_int":
             rec["points"][p][axis] = draw(st.sampled_from([10**400, -(10**400)]))
-        else:  # huge_id: accepted by the reader, refused by the store
-            rec["id"] = 10**400
+        else:  # huge_id: outside int64, refused by the reader with its line
+            rec["id"] = draw(st.sampled_from([2**63, -(2**63) - 1, 2**70, 10**400]))
     lines = [json.dumps({"frames": frames, "width": width, "height": height})]
     for k, rec in enumerate(records):
         lines.append(texts.get(k, json.dumps(rec, separators=(",", ":"))))
@@ -232,6 +232,20 @@ class TestParserOracle:
                 "line 2: duplicate key 'points'",
                 id="duplicate-points-key",
             ),
+            # An id past 64 bits, named by its line and not echoed.
+            pytest.param(
+                '{"frames":3,"width":100,"height":100}\n'
+                '{"id":1,"start":0,"points":[[1,1],[2,1]]}\n'
+                '{"id":%d,"start":0,"points":[[1,1],[2,1]]}\n' % 2**70,
+                "line 3: 'id' must fit in a 64-bit integer",
+                id="id-2**70",
+            ),
+            pytest.param(
+                '{"frames":3,"width":100,"height":100}\n'
+                '{"id":%d,"start":0,"points":[[1,1],[2,1]]}\n' % -(2**63 + 1),
+                "line 2: 'id' must fit in a 64-bit integer",
+                id="id-below-int64",
+            ),
         ],
     )
     def test_extreme_input_is_parse_error(self, tmp_path, text, message):
@@ -240,6 +254,15 @@ class TestParserOracle:
         with pytest.raises(ParseError) as info:
             parse_trajectories(path)
         assert str(info.value) == message
+
+    def test_int64_id_limits_are_accepted(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"frames":3,"width":100,"height":100}\n'
+            '{"id":%d,"start":0,"points":[[1,1],[2,1]]}\n'
+            '{"id":%d,"start":0,"points":[[1,1],[2,1]]}\n' % (2**63 - 1, -(2**63))
+        )
+        assert sorted(t.id for t in parse_trajectories(path).trajectories) == [-(2**63), 2**63 - 1]
 
     def test_tracks_are_views_of_one_buffer(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -17,7 +17,7 @@ GOLDEN = {
     "readme": (
         ["--sigma", "0.15", "--n-bg", "60", "--n-fg", "20", "--frames", "30", "--seed", "7"],
         ["--seed", "7"],
-        "d8e79730c571dad6b97c9a71a0d23b5f469ac7f7401cd6ad786259c7c0e895f3",
+        "31f5cc329c9342f7b5cfe668b0bf79dc4e815e2c8e63c2aa91ddae702f9bd424",
     ),
     # Acceptance criterion 7's scene: four blocks.
     "four_blocks": (

@@ -587,6 +587,23 @@ class TestCli:
             f"line {line}: invalid JSON (integer too long)\n"
         )
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ('{"%s":1}' % ("7" * 5000), "label key '77777777777777777777...' is not a canonical"),
+            ('{"0%s":1}' % ("7" * 4000), "label key '07777777777777777777...' is not a canonical"),
+            ('{"%s":2}' % ("7" * 4000), "label for id 77777777777777777777... must be 0 or 1"),
+        ],
+        ids=["5000-digit-key", "4000-digit-leading-zero", "4000-digit-bad-label"],
+    )
+    def test_long_label_key_is_clipped_in_error(self, tmp_path, capsys, labels, message):
+        path = tmp_path / "k.jsonl"
+        path.write_text('{"type":"fused","labels":%s}\n' % labels)
+        assert run_cli(["eval", "--pred", str(path), "--gt", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"jitterseg eval: parse stage failed: line 1: {message}")
+        assert err.count("\n") == 1 and len(err) < 120
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         traj, _ = self._synth(tmp_path, 0.0)
