@@ -10,7 +10,7 @@ import typing
 
 from .errors import InvalidParameter, JittersegError
 from .io import parse_labels, parse_trajectories, serialize_labels, serialize_trajectories
-from .io import unique_keys
+from .io import BOM_MESSAGE, unique_keys
 from .segmenter import SegmenterParams, check_at_most, segment_store
 from .synth import SceneParams, generate_scene, metrics_from_labels
 
@@ -106,7 +106,10 @@ def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
     if args.get("config"):
         try:
             with open(args["config"], "r", encoding="utf-8") as f:
-                loaded = json.load(f, object_pairs_hook=unique_keys)
+                text = f.read()
+            if text.startswith("\ufeff"):
+                _PARSER.error(f"cannot read config: {BOM_MESSAGE}")
+            loaded = json.loads(text, object_pairs_hook=unique_keys)
         except (OSError, ValueError) as exc:  # JSON, UTF-8 and duplicate-key errors
             _PARSER.error(f"cannot read config: {exc}")
         if not isinstance(loaded, dict):

@@ -36,23 +36,33 @@ class DuplicateKey(ValueError):
     """A JSON object names one key twice."""
 
 
+# What a reader reports for text that starts with U+FEFF, the byte-order
+# mark some editors put at the head of a UTF-8 file.
+BOM_MESSAGE = "unexpected UTF-8 byte-order mark"
+
+
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """``json`` object pairs hook: the object as a dict, ``DuplicateKey`` on a repeat."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise DuplicateKey(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DuplicateKey(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
 def _records(path, object_pairs_hook=None):
-    """Yield (line number, JSON value) for each non-blank line of a file.
+    """Yield (line number, line, JSON value) for each non-blank line of a file.
 
-    Undecodable bytes are read as escapes, so a line that is not UTF-8 or
-    not JSON is a ``ParseError`` with its number, and so are an integer
-    too long to convert and a ``DuplicateKey`` from ``object_pairs_hook``.
+    The line is yielded stripped. Undecodable bytes are read as escapes,
+    so a line that is not UTF-8 or not JSON is a ``ParseError`` with its
+    number, and so are a leading byte-order mark, an integer too long to
+    convert and a ``DuplicateKey`` from ``object_pairs_hook``. One decoder
+    serves the whole file.
     """
+    decode = json.JSONDecoder(object_pairs_hook=object_pairs_hook).decode
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -63,8 +73,10 @@ def _records(path, object_pairs_hook=None):
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise ParseError("not UTF-8 text", lineno) from None
+                if line[0] == "\ufeff":
+                    raise ParseError(BOM_MESSAGE, lineno)
             try:
-                rec = json.loads(line, object_pairs_hook=object_pairs_hook)
+                rec = decode(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
             except DuplicateKey as exc:
@@ -73,7 +85,7 @@ def _records(path, object_pairs_hook=None):
                 raise ParseError("invalid JSON (integer too long)", lineno) from None
             except RecursionError:
                 raise ParseError("invalid JSON (nested too deeply)", lineno) from None
-            yield lineno, rec
+            yield lineno, line, rec
 
 
 def _is_int(v) -> bool:
@@ -81,6 +93,7 @@ def _is_int(v) -> bool:
 
 
 _NUMBER_TYPES = {int, float}
+_POINTS_MESSAGE = "'points' must be a list of >= 2 [x, y] pairs"
 
 
 def _valid_points(pts) -> bool:
@@ -129,13 +142,13 @@ def parse_trajectories(path) -> TrajectoryStore:
     seen: set[int] = set()
     fault = None
     try:
-        for lineno, rec in _records(path, unique_keys):
-            if not isinstance(rec, dict):
+        for lineno, line, rec in _records(path, unique_keys):
+            if type(rec) is not dict:
                 raise ParseError("record is not an object", lineno)
             if header is None:
                 header = _parse_header(rec, lineno)
                 continue
-            tracks.append(_parse_record(rec, lineno, header, seen, coords))
+            tracks.append(_parse_record(rec, lineno, line, header[0], seen, coords))
             bounds.append(len(coords) // 2)
     except JittersegError as exc:
         fault = exc
@@ -167,26 +180,52 @@ def _parse_header(rec: dict, lineno: int) -> tuple[int, int, int]:
     return rec["frames"], rec["width"], rec["height"]
 
 
-def _parse_record(rec: dict, lineno: int, header, seen: set, coords: array):
+def _parse_record(rec: dict, lineno: int, line: str, frames: int, seen: set, coords: array):
     """Check one trajectory record and append its points to ``coords``.
 
     Returns (line, id, start). Finiteness and frame bounds of the points
     are left to ``_check_rows``.
+
+    The points are not checked value by value before they are appended.
+    ``array.fromlist`` takes only ints and floats, and leaves the array
+    as it was when it refuses a value. Once it has taken every value of
+    ``pts``, each item of ``pts`` was a list of numbers (anything else
+    yields a non-number or nothing), so their lengths finish the check.
+    The one non-number it would take is a bool, and a record holds one
+    only when its line holds ``true`` or ``false``, so only when it holds
+    a ``u`` or an ``l``: no number or required key has either letter. A
+    line that does gets the full ``_valid_points`` first, and so does a
+    record whose values ``fromlist`` refuses; each fault thus gets the
+    error, and the precedence, of a check made before any point is taken.
+    Points taken for a record that then fails lie past the last track's
+    rows and are never read.
     """
-    frames = header[0]
-    for key in ("id", "start", "points"):
-        if key not in rec:
-            raise ParseError(f"record missing '{key}'", lineno)
-    if not _is_int(rec["id"]) or not _is_int(rec["start"]):
+    if not ("id" in rec and "start" in rec and "points" in rec):
+        key = next(k for k in ("id", "start", "points") if k not in rec)
+        raise ParseError(f"record missing '{key}'", lineno)
+    tid, start, pts = rec["id"], rec["start"], rec["points"]
+    if not (_is_int(tid) and _is_int(start)):
         raise ParseError("'id' and 'start' must be integers", lineno)
     # The store keeps ids as int64. ('start' past the header's frames is a
     # BoundsError below.)
-    if not -(2**63) <= rec["id"] < 2**63:
+    if not -(2**63) <= tid < 2**63:
         raise ParseError("'id' must fit in a 64-bit integer", lineno)
-    pts = rec["points"]
-    if not _valid_points(pts):
-        raise ParseError("'points' must be a list of >= 2 [x, y] pairs", lineno)
-    tid, start = rec["id"], rec["start"]
+    if (
+        type(pts) is not list
+        or len(pts) < 2
+        or (("u" in line or "l" in line) and not _valid_points(pts))
+    ):
+        raise ParseError(_POINTS_MESSAGE, lineno)
+    overflow = False
+    try:
+        coords.fromlist(list(chain.from_iterable(pts)))
+    except (TypeError, OverflowError):
+        if not _valid_points(pts):
+            raise ParseError(_POINTS_MESSAGE, lineno) from None
+        overflow = True  # the values are numbers: an int too large for a float
+    else:
+        if set(map(len, pts)) != {2}:
+            raise ParseError(_POINTS_MESSAGE, lineno)
     if tid in seen:
         raise DuplicateId(f"line {lineno}: trajectory id {tid} appears twice")
     seen.add(tid)
@@ -194,12 +233,10 @@ def _parse_record(rec: dict, lineno: int, header, seen: set, coords: array):
         raise BoundsError(
             f"line {lineno}: trajectory {tid} covers frames outside [0, {frames})"
         )
-    try:
-        coords.extend(chain.from_iterable(pts))
-    except OverflowError:
+    if overflow:
         raise ParseError(
             f"trajectory {tid} has an integer coordinate too large for a float", lineno
-        ) from None
+        )
     return lineno, tid, start
 
 
@@ -299,7 +336,7 @@ def parse_labels(path) -> LabelFileData:
     blocks = []
     fused = None
     edge = 0
-    for lineno, rec in _records(path, unique_keys):
+    for lineno, _, rec in _records(path, unique_keys):
         if not isinstance(rec, dict) or "type" not in rec:
             raise ParseError("record needs a 'type' field", lineno)
         kind = rec["type"]

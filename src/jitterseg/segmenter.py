@@ -41,6 +41,7 @@ from .errors import (
 from .shapes import (
     DEGENERACY_EPS,
     Trajectory,
+    _check_preshapes,
     as_complex,
     preshape_rows,
     procrustes_distance,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -59,6 +60,10 @@ _TIE_EPS = 1e-12
 
 # Points per group in TrajectoryStore's bounds check (64 KiB of float pairs).
 _CHECK_ROWS = 4096
+
+# Candidate-frame cells per pass of straggler labeling: bounds the size of
+# its (3, rows, frames) complex temporaries on huge blocks.
+_STRAGGLER_CELLS = 2**14
 
 # Upper bound of every count and size parameter and of ``--jobs``. Larger
 # values overflow numpy's integer and array-size arithmetic (a grid cell
@@ -150,6 +155,21 @@ class TrajectoryStore:
     @cached_property
     def by_id(self) -> Mapping[int, Trajectory]:
         return {t.id: t for t in self.trajectories}
+
+    @cached_property
+    def point_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """All points as one complex vector, tracks in id order, and each track's first index.
+
+        The k-th track of ``frame_spans`` has its point at frame ``f`` at
+        ``rows[first[k] + f - starts[k]]``, so the windows of many tracks
+        are gathered by index arithmetic, with no Python step per track.
+        """
+        ids, starts, ends = self.frame_spans
+        by_id = self.by_id
+        points = [by_id[tid].points for tid in ids.tolist()]
+        rows = as_complex(np.concatenate(points)) if points else np.empty(0, complex)
+        counts = ends - starts
+        return rows, np.cumsum(counts) - counts
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -283,10 +303,14 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
 
 
 def _windows(store: TrajectoryStore, ids, lo: int, hi: int) -> np.ndarray:
-    """(len(ids), N) complex stack of the trajectories' points over [lo, hi)."""
-    by_id = store.by_id
-    rows = [by_id[tid] for tid in ids]
-    return as_complex(np.array([t.points[lo - t.start_frame : hi - t.start_frame] for t in rows]))
+    """(len(ids), N) complex stack of the trajectories' points over [lo, hi).
+
+    Every one of the trajectories must cover [lo, hi).
+    """
+    rows, first = store.point_rows
+    span_ids, starts, _ = store.frame_spans
+    k = np.searchsorted(span_ids, ids)
+    return rows[(first[k] - starts[k] + lo)[:, None] + np.arange(hi - lo)]
 
 
 def select_representatives(
@@ -360,11 +384,10 @@ def assign_stragglers(
     threshold (or with a motionless window) stay unlabeled, and so do
     all of them when every cropped mean is motionless.
 
-    Candidates sharing an overlap window ``[lo, hi)`` are labeled
-    together: one matmul gives every <mean, track> inner product, whose
-    unit phase ``u`` rotates the mean onto the track, and the distance is
-    the literal residual ``||t - u m||`` from ``procrustes_residuals``,
-    the kernel of the affinity.
+    All candidates are labeled together (``_nearest_means``), in passes
+    of at most ``_STRAGGLER_CELLS`` candidate frames: each is a row over
+    the block's frames, zero outside its overlap window, gathered from
+    the store's one point vector by index arithmetic.
     """
     labels = dict(result.labels)
     if not result.means:
@@ -373,35 +396,57 @@ def assign_stragglers(
     lo = np.maximum(block.start, starts)
     hi = np.minimum(block.end, ends)
     width = hi - lo
-    candidate = (
+    candidate = np.flatnonzero(
         (width >= 2)
         & (width / block.length >= params.span_threshold - _FRACTION_EPS)
         & ~np.isin(ids, np.fromiter(labels, dtype=np.int64, count=len(labels)))
     )
-    ids, lo, hi = ids[candidate], lo[candidate], hi[candidate]
     means = as_complex(np.array(result.means))
-    n_means = len(means)
-    found = np.full(ids.size, -1)
-    for a, b in sorted(set(zip(lo.tolist(), hi.tolist()))):
-        group = np.flatnonzero((lo == a) & (hi == b))
-        rows = np.concatenate(
-            (
-                means[:, a - block.start : b - block.start],
-                _windows(store, ids[group].tolist(), a, b),
-            )
-        )
-        pre, norms = preshape_rows(rows)
-        cropped, tracks = pre[:n_means], pre[n_means:]
-        dist = procrustes_residuals(tracks, cropped, unit_phase(tracks @ cropped.conj().T))
-        dist[:, norms[:n_means] < DEGENERACY_EPS] = np.inf
-        d_min = dist.min(axis=1)
-        nearest = np.argmax(dist < d_min[:, None] + _TIE_EPS, axis=1)
-        usable = (norms[n_means:] >= DEGENERACY_EPS) & np.isfinite(d_min)
-        found[group] = np.where(usable, nearest, -1)
-    for tid, lab in zip(ids.tolist(), found.tolist()):
-        if lab >= 0:
-            labels[tid] = lab
+    rows, first = store.point_rows
+    frames = np.arange(block.start, block.end)
+    step = max(1, _STRAGGLER_CELLS // block.length)
+    for c0 in range(0, candidate.size, step):
+        k = candidate[c0 : c0 + step]
+        window = (frames >= lo[k, None]) & (frames < hi[k, None])
+        index = np.where(window, first[k, None] - starts[k, None] + frames, 0)
+        tracks = np.where(window, rows[index], 0)
+        for tid, lab in zip(ids[k].tolist(), _nearest_means(tracks, window, means).tolist()):
+            if lab >= 0:
+                labels[tid] = lab
     return labels
+
+
+def _nearest_means(tracks: np.ndarray, window: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Per track, the index of the nearest mean over the track's window, or -1.
+
+    ``tracks`` is a (C, L) complex stack, zero outside the (C, L) mask
+    ``window``; ``means`` is (M, L). Each mean is cropped to each track's
+    window, giving an (M, C, L) stack beside the tracks. Every row is
+    centered twice and scaled to unit norm with sums over its window, as
+    ``preshape_rows`` does, and a row whose centered norm is below
+    ``DEGENERACY_EPS`` has no shape. The distance is the literal
+    residual ``||t - u m||`` of ``procrustes_residuals``, ``u`` the unit
+    phase of ``<m, t>`` that rotates the mean onto the track. A mean
+    within ``_TIE_EPS`` of the nearest counts as a tie, which the lower
+    index wins. A motionless track, or one whose cropped means are all
+    motionless, gets -1.
+    """
+    n = np.count_nonzero(window, axis=1)[:, None]
+    z = np.concatenate((tracks[None], np.where(window, means[:, None, :], 0)))
+    # A second pass removes what the rounded mean leaves behind.
+    for _ in range(2):
+        z = np.where(window, z - z.sum(axis=-1, keepdims=True) / n, 0)
+    flat = z.view(float)
+    norms = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    ok = norms >= DEGENERACY_EPS
+    pre = (flat / np.where(ok, norms, np.inf)[..., None]).view(complex)
+    _check_preshapes(pre[ok])
+    t, m = pre[0], pre[1:]
+    dist = procrustes_residuals(t, m, unit_phase(np.einsum("cl,kcl->kc", t, m.conj())))
+    dist[~ok[1:]] = np.inf
+    d_min = dist.min(axis=0)
+    nearest = np.argmax(dist < d_min + _TIE_EPS, axis=0)
+    return np.where(ok[0] & np.isfinite(d_min), nearest, -1)
 
 
 def _foreground_flip(result: BlockResult, store: TrajectoryStore) -> bool:

@@ -16,9 +16,11 @@ the inner product sum(conj(b) * a). No SVD is needed.
 Each shape operation has one implementation, on (K, N) complex stacks,
 and the single-shape API is a thin layer over it. ``preshape_rows`` is
 the one projection: ``project_to_preshape`` runs it on a one-row stack.
-``procrustes_residuals`` is the one residual: the affinity, the
-straggler labels and ``procrustes_distance`` all take their Procrustes
-distances from it.
+``procrustes_residuals`` is the one literal residual: the straggler
+labels and ``procrustes_distance`` take their Procrustes distances from
+it, and so does the affinity for the few pairs near d = 0, where the
+closed form ``sqrt(2 - 2|<b, a>|)`` that it uses for all other pairs
+cancels.
 """
 
 from __future__ import annotations
@@ -317,21 +319,21 @@ def procrustes_distance(a: PreShape, b: PreShape) -> float:
     Symmetric in its arguments; ranges over [0, 2] for unit-norm inputs.
     """
     za, zb, u = _aligned_pair(a, b)
-    return float(procrustes_residuals(za[None], zb[None], np.array([[u]]))[0, 0])
+    return float(procrustes_residuals(za, zb, np.array(u)))
 
 
 def procrustes_residuals(a: np.ndarray, b: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """The (R, C) literal residuals ``||a_i - phase[i, j] * b_j||``.
+    """The literal residuals ``||a - phase * b||`` over the last axis.
 
-    ``a`` and ``b`` are (R, N) and (C, N) complex pre-shape stacks, and
-    ``phase[i, j]`` is the unit phase that rotates ``b_j`` onto ``a_i``.
-    The residual is taken literally rather than as ``sqrt(2 - 2|<b, a>|)``:
+    ``a`` and ``b`` are complex pre-shape stacks (..., N) and ``phase``
+    holds the unit phases (...) that rotate each ``b`` onto its ``a``;
+    the leading axes broadcast, so pairs, a row against a stack or every
+    row against every column all go through this one kernel. The
+    residual is taken literally rather than as ``sqrt(2 - 2|<b, a>|)``:
     that closed form cancels near d = 0 and would put identical shapes
     visibly apart.
     """
-    # Computed in place to keep two (R, C, N) temporaries, not four.
-    resid = phase[:, :, None] * b
-    np.subtract(a[:, None, :], resid, out=resid)
+    resid = a - phase[..., None] * b
     squares = np.square(resid.real)
     squares += np.square(resid.imag)
     return np.sqrt(squares.sum(axis=-1))

@@ -116,11 +116,12 @@ def oracle_affinity(shapes, omega: float) -> np.ndarray:
 
 
 def oracle_affinity_rows(shapes, omega: float) -> np.ndarray:
-    """``build_affinity``'s values with its former loop of one residual row per shape.
+    """``build_affinity``'s values from the literal residual of every pair, one row at a time.
 
     Row i takes ``z_i - u_ij z_j`` against every later shape j, where the
     phases u come from one Gram matrix; the elementwise operations and the
-    last-axis sum are those of the strip-tiled version.
+    last-axis sum are those ``build_affinity`` runs on the pairs it takes
+    literally, those closer than ``clustering.LITERAL_BELOW``.
     """
     z = stack_preshapes(shapes)
     phase = unit_phase(z @ z.conj().T)

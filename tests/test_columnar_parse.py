@@ -34,6 +34,7 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 FAULTS = (
     "bad_json",
     "bool",
+    "false",
     "null",
     "string",
     "nan",
@@ -46,6 +47,7 @@ FAULTS = (
     "huge_id",
     "long_int",
     "duplicate_key",
+    "string_after_huge_int",
 )
 
 _JSON_LITERALS = {"nan": "NaN", "infinity": "Infinity"}
@@ -117,8 +119,12 @@ def trajectory_files(draw, fault=None):
             key = draw(st.sampled_from(["id", "start", "points"]))
             repeat = ", %s: %s}" % (json.dumps(key), json.dumps(rec[key]))
             texts[k] = json.dumps(rec)[:-1] + repeat
-        elif kind in ("bool", "null", "string"):
-            rec["points"][p][axis] = {"bool": True, "null": None, "string": "1"}[kind]
+        elif kind in ("bool", "false", "null", "string"):
+            value = {"bool": True, "false": False, "null": None, "string": "1"}[kind]
+            rec["points"][p][axis] = value
+        elif kind == "string_after_huge_int":  # the string is past where a float conversion stops
+            rec["points"][0][0] = 10**400
+            rec["points"][-1][1] = "1"
         elif kind in _JSON_LITERALS:
             rec["points"][p][axis] = float(_JSON_LITERALS[kind])
         elif kind == "out_of_frame":
@@ -254,6 +260,41 @@ class TestParserOracle:
         with pytest.raises(ParseError) as info:
             parse_trajectories(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id":0,"start":0,"points":[[1,true],[2,1]]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],[false,1]]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],[2,null]]}', "line 2: 'points' must be"),
+            # A string after an integer too large for a float is still a
+            # points fault, not the overflow one.
+            ('{"id":0,"start":0,"points":[[%d,1],[2,"1"]]}' % 10**400, "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],[%d,1]]}' % 10**400, "line 2: trajectory 0 has an"),
+            ('{"id":0,"start":0,"points":[[1,1],[2,[1]]]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],[2,{"a":1}]]}', "line 2: 'points' must be"),
+            # Numbers in pairs of the wrong length, the total count right or not.
+            ('{"id":0,"start":0,"points":[[1],[2,1,3]]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],[2,1,3]]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],[]]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],{}]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],"ab"]}', "line 2: 'points' must be"),
+            ('{"id":0,"start":0,"points":[[1,1],{"a":1,"b":2}]}', "line 2: 'points' must be"),
+            # The words true and false outside the points do not make a fault.
+            ('{"id":0,"start":0,"points":[[1,1],[2,1]],"true":1}', None),
+            ('{"id":0,"start":0,"points":[[1,1],[2,1]],"note":"false"}', None),
+            ('{"id":0,"start":0,"points":[[1,1],[2,1]],"true":"false"}', None),
+        ],
+    )
+    def test_points_that_are_not_number_pairs(self, tmp_path, record, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"frames":3,"width":100,"height":100}\n%s\n' % record)
+        got = _outcome(parse_trajectories, path)
+        _assert_same(got, _outcome(oracle_parse_trajectories, path))
+        if message is None:
+            assert [t.points.tolist() for t in got.trajectories] == [[[1, 1], [2, 1]]]
+        else:
+            assert isinstance(got, ParseError) and str(got).startswith(message)
 
     def test_int64_id_limits_are_accepted(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -740,6 +740,34 @@ class TestCli:
         assert run_cli(argv) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["segment", "eval", "config"])
+    def test_byte_order_mark_is_one_plain_error(self, tmp_path, capsys, command):
+        traj, gt = self._synth(tmp_path, 0.0)
+        out = tmp_path / "o.jsonl"
+        bom = tmp_path / "bom.json"
+        if command == "segment":
+            bom.write_bytes(b"\xef\xbb\xbf" + traj.read_bytes())
+            argv, code = ["segment", "--input", str(bom), "--output", str(out)], 1
+        elif command == "eval":
+            bom.write_bytes(b"\xef\xbb\xbf" + gt.read_bytes())
+            argv, code = ["eval", "--pred", str(bom), "--gt", str(gt)], 1
+        else:
+            bom.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 4}).encode())
+            argv = ["segment", "--config", str(bom), "--input", str(traj), "--output", str(out)]
+            code = 2
+        capsys.readouterr()
+        assert run_cli(argv) == code
+        err = capsys.readouterr().err
+        if command == "config":
+            assert err.endswith(
+                "\njitterseg: error: cannot read config: unexpected UTF-8 byte-order mark\n"
+            )
+        else:
+            assert err == (
+                f"jitterseg {command}: parse stage failed: "
+                "line 1: unexpected UTF-8 byte-order mark\n"
+            )
+
     def test_config_file_supplies_parameters(self, tmp_path):
         traj, gt = self._synth(tmp_path, 0.0)
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,8 @@
 """The one-pass block and straggler labeling against their former loops.
 
 ``segment_block`` clusters the representatives once, as one complex
-pre-shape stack, and ``assign_stragglers`` labels every candidate sharing
-an overlap window with one matmul. ``conftest`` keeps the former
+pre-shape stack, and ``assign_stragglers`` labels all of a block's
+candidates in one pass, each masked to its overlap window. ``conftest`` keeps the former
 multi-round, per-member block loop (cluster, align, smooth, rebuild) and
 the per-track straggler loop as oracles. Property tests draw seeded
 stores with partial tracks, motionless tracks, motionless stretches of a
@@ -15,6 +15,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +109,29 @@ class TestStragglersOracle:
         assert assign_stragglers(result, store, block, params) == oracle_assign_stragglers(
             result, store, block, params
         )
+
+    @PROPERTY
+    @given(straggler_cases(), st.sampled_from([1, 7, 64]))
+    def test_passes_of_any_size(self, case, cells):
+        # Small budgets split the candidates over many passes, down to one
+        # candidate per pass.
+        result, store, block, params = case
+        with mock.patch.object(segmenter, "_STRAGGLER_CELLS", cells):
+            labels = assign_stragglers(result, store, block, params)
+        assert labels == oracle_assign_stragglers(result, store, block, params)
+
+    @pytest.mark.parametrize("motion", [1e-9, 1e-11])
+    def test_nearly_motionless_window(self, motion):
+        # Far from the origin and barely moving: one centering pass would
+        # leave a rounded mean that the division by the tiny norm blows up.
+        result, store, block, params = self._case("random")
+        rng = np.random.default_rng(5)
+        still = [303.1 + motion * rng.standard_normal((20, 2)) for _ in range(8)]
+        trajs = store.trajectories + tuple(Trajectory(10 + i, 0, p) for i, p in enumerate(still))
+        store = TrajectoryStore(trajs, 20, FRAME)
+        labels = assign_stragglers(result, store, block, params)
+        assert labels == oracle_assign_stragglers(result, store, block, params)
+        assert set(range(10, 18)) <= set(labels)
 
     def _case(self, kind: str):
         rng = np.random.default_rng(1)
