@@ -53,16 +53,13 @@ _SEGMENT = _from_params(
     _Option("input", "trajectory file to segment"),
     _Option("output", "label file to write"),
     _Option("omega", "affinity bandwidth"),
-    _Option("lambda", "stabilization weight; recorded, does not affect labels", field="lam"),
-    _Option("outer_iters", "stabilize-and-cluster rounds; recorded, does not affect labels"),
-    _Option("jacobi_iters", "Jacobi smoothing sweeps; recorded, does not affect labels"),
-    _Option("m", None),
+    _Option("lambda", "mean-smoothing weight; recorded, no block smooths", field="lam"),
     _Option("span_threshold", "late-label coverage"),
     _Option("min_span_fraction", "spanning fraction per block"),
     _Option("grid", "representative grid resolution", field="grid_cells"),
     _Option("max_block_len", "frame cap per block"),
     _Option("min_block_len", None),
-    _Option("seed", "clustering seed; recorded, does not affect labels"),
+    _Option("seed", "recorded; the cut has no seed, so labels ignore it"),
     _Option("jobs", "worker count; checked, but blocks always run on one thread", int, 1),
 )
 _SYNTH = _from_params(

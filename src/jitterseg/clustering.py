@@ -106,7 +106,8 @@ def build_affinity(
     i, j = np.nonzero(np.triu(dist < LITERAL_BELOW, 1))
     dist[i, j] = procrustes_residuals(z[i], z[j], unit_phase(gram[i, j]))
     dist = dist + dist.T
-    values = np.exp(-dist / omega)
+    with np.errstate(over="ignore"):  # d / omega past the float range gives exp(-inf) = 0
+        values = np.exp(-dist / omega)
     if np.any(values == 0.0):
         d_min = float(dist[values == 0.0].min())
         raise InvalidParameter(

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .alignment import (
-    DEFAULT_JACOBI_ITERS,
     back_transform,  # noqa: F401  (bench/tracing.py wraps it here)
     gpa_align,
     stabilize_mean,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -64,6 +63,10 @@ _CHECK_ROWS = 4096
 # Candidate-frame cells per pass of straggler labeling: bounds the size of
 # its (3, rows, frames) complex temporaries on huge blocks.
 _STRAGGLER_CELLS = 2**14
+
+# A block needs more representatives than its two clusters: two would be
+# cut one apiece, whatever their shapes.
+MIN_REPRESENTATIVES = 3
 
 # Upper bound of every count and size parameter and of ``--jobs``. Larger
 # values overflow numpy's integer and array-size arithmetic (a grid cell
@@ -207,19 +210,17 @@ class SegmenterParams:
 
     Defaults: affinity bandwidth 0.02, 70% coverage threshold for late
     labeling, 10% minimum spanning fraction per block, a 16x16
-    representative grid. ``lam``, ``outer_iters``, ``jacobi_iters`` and
-    ``seed`` are checked and recorded but do not affect labels: the
-    normalized-cut sweep that clusters a block has no seed. The pipeline
-    segments one moving object, so there are always ``m = 2`` clusters.
+    representative grid. ``lam`` and ``seed`` are checked and recorded
+    but do not affect labels: a block's GPA means are never smoothed,
+    and the normalized-cut sweep that clusters it has no seed. The
+    pipeline segments one moving object, so there are always two
+    clusters.
     Every float must be finite, every int at most ``MAX_INT_PARAM`` and
     the seed non-negative (``InvalidParameter`` otherwise).
     """
 
     omega: float = DEFAULT_OMEGA
     lam: float = 0.2
-    outer_iters: int = 3
-    jacobi_iters: int = DEFAULT_JACOBI_ITERS
-    m: int = field(default=2, init=False)
     span_threshold: float = 0.7
     min_span_fraction: float = 0.1
     grid_cells: int = 16
@@ -232,10 +233,10 @@ class SegmenterParams:
             raise InvalidParameter("omega must be > 0")
         if not self.lam >= 0:
             raise InvalidParameter("lam must be >= 0")
-        for name in ("outer_iters", "jacobi_iters", "grid_cells", "min_block_len"):
+        for name in ("grid_cells", "min_block_len"):
             if getattr(self, name) < 1:
                 raise InvalidParameter(f"{name} must be >= 1")
-        for name in ("outer_iters", "jacobi_iters", "grid_cells", "max_block_len", "min_block_len"):
+        for name in ("grid_cells", "max_block_len", "min_block_len"):
             check_at_most(name, getattr(self, name))
         if self.seed < 0:
             raise InvalidParameter("seed must be >= 0")
@@ -324,7 +325,8 @@ def select_representatives(
     ``DEGENERACY_EPS``) has no shape and is never chosen; its cell goes to
     the next-nearest one. A block of one or two frames has no
     representatives: any two points have the same shape, so rounding
-    would decide the split. Ids are returned in ascending order.
+    would decide the split. Ids are returned in ascending order; fewer
+    than ``MIN_REPRESENTATIVES`` raise ``TooFewRepresentatives``.
     """
     ids = np.array(block.spanning_ids, dtype=np.int64)
     reps: list[int] = []
@@ -344,10 +346,10 @@ def select_representatives(
         first = np.ones(order.size, dtype=bool)
         first[1:] = cell[order][1:] != cell[order][:-1]
         reps = sorted(ids[moving][order[first]].tolist())
-    if len(reps) < params.m + 1:
+    if len(reps) < MIN_REPRESENTATIVES:
         raise TooFewRepresentatives(
             f"{len(reps)} representatives in block {block.frame_range}, "
-            f"need at least {params.m + 1}"
+            f"need at least {MIN_REPRESENTATIVES}"
         )
     return reps
 

@@ -135,7 +135,7 @@ def _object_path(params: SceneParams, theta_cam: float, rng: np.random.Generator
 
 
 def _sample_interval(lo: float, hi: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    if lo >= hi:
+    if not lo < hi:  # also when a path overflowed to inf or NaN
         raise InvalidParameter("camera/object drift too large for the frame size")
     return rng.uniform(lo, hi, size=n)
 
@@ -162,9 +162,11 @@ def generate_scene(params: SceneParams) -> LabeledScene:
     cushion = _JITTER_CUSHION * min(width, height) if params.sigma > 0 else 1.0
 
     theta_cam = rng.uniform(0.0, 2.0 * np.pi)
-    cam = _camera_path(params, theta_cam)
-    obj = _object_path(params, theta_cam, rng)
-    fg_off = cam + obj
+    # A huge finite speed overflows its path; _sample_interval refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cam = _camera_path(params, theta_cam)
+        obj = _object_path(params, theta_cam, rng)
+        fg_off = cam + obj
 
     trajectories = []
     ground_truth = {}
@@ -226,7 +228,8 @@ def fuse_jitter(store: TrajectoryStore, sigma: float, seed: int) -> TrajectorySt
     Each frame's rotation and scale act about the frame center, followed
     by a translation; all points of the frame receive the same transform.
     Results are clipped to the frame bounds. ``sigma = 0`` returns the
-    input store unchanged.
+    input store unchanged. A sigma so large that some shaken point
+    overflows raises ``InvalidParameter``.
     """
     if sigma < 0:
         raise InvalidParameter("sigma must be >= 0")
@@ -236,20 +239,22 @@ def fuse_jitter(store: TrajectoryStore, sigma: float, seed: int) -> TrajectorySt
     center = np.array([width / 2.0, height / 2.0])
     linear = np.empty((store.n_frames_total, 2, 2))
     shift = np.empty((store.n_frames_total, 2))
-    for f in range(store.n_frames_total):
-        linear[f], shift[f] = _frame_similarity(seed, f, sigma, store.frame_size)
-
     shaken = []
-    for t in store.trajectories:
-        frames = slice(t.start_frame, t.end_frame)
-        moved = (
-            np.einsum("fij,fj->fi", linear[frames], t.points - center)
-            + center
-            + shift[frames]
-        )
-        moved[:, 0] = np.clip(moved[:, 0], 0.0, width)
-        moved[:, 1] = np.clip(moved[:, 1], 0.0, height)
-        shaken.append(Trajectory(t.id, t.start_frame, moved))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(store.n_frames_total):
+            linear[f], shift[f] = _frame_similarity(seed, f, sigma, store.frame_size)
+        for t in store.trajectories:
+            frames = slice(t.start_frame, t.end_frame)
+            moved = (
+                np.einsum("fij,fj->fi", linear[frames], t.points - center)
+                + center
+                + shift[frames]
+            )
+            if not np.isfinite(moved).all():
+                raise InvalidParameter(f"sigma={sigma:g} is too large: the jitter overflows")
+            moved[:, 0] = np.clip(moved[:, 0], 0.0, width)
+            moved[:, 1] = np.clip(moved[:, 1], 0.0, height)
+            shaken.append(Trajectory(t.id, t.start_frame, moved))
     return TrajectoryStore(tuple(shaken), store.n_frames_total, store.frame_size)
 
 

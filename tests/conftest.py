@@ -207,15 +207,15 @@ def oracle_assign_stragglers(result, store, block, params) -> dict[int, int]:
     return labels
 
 
-def oracle_segment_block(store, block, params) -> BlockResult:
+def oracle_segment_block(store, block, params, *, rounds: int, jacobi_iters: int) -> BlockResult:
     """``segment_block`` as its former multi-round, per-member loop.
 
     The representatives are those of ``select_representatives``. Each is
-    its own ``PreShape``. Every one of ``outer_iters`` rounds clusters
-    them, aligns each cluster with GPA, smooths its mean with
-    ``stabilize_mean``, rebuilds every member with ``back_transform`` and
-    re-projects it; the last round's smoothed means label the stragglers
-    through ``oracle_assign_stragglers``.
+    its own ``PreShape``. Every one of ``rounds`` rounds clusters them,
+    aligns each cluster with GPA, smooths its mean with ``stabilize_mean``
+    (weight ``params.lam``, ``jacobi_iters`` sweeps), rebuilds every member
+    with ``back_transform`` and re-projects it; the last round's smoothed
+    means label the stragglers through ``oracle_assign_stragglers``.
     """
     reps = select_representatives(store, block, params)
     shapes = []
@@ -224,14 +224,14 @@ def oracle_segment_block(store, block, params) -> BlockResult:
         shapes.append(
             project_to_preshape(t.points[block.start - t.start_frame : block.end - t.start_frame])
         )
-    for _ in range(params.outer_iters):
+    for _ in range(rounds):
         assignment = spectral_cluster(build_affinity(shapes, params.omega))
         new_shapes = list(shapes)
         means = []
-        for c in range(params.m):
+        for c in (0, 1):
             idx = assignment.members(c)
             gpa = gpa_align(shapes, idx)
-            smean = stabilize_mean(gpa.mean, params.lam, params.jacobi_iters)
+            smean = stabilize_mean(gpa.mean, params.lam, jacobi_iters)
             means.append(smean.config)
             for i, cfg in zip(idx, back_transform(smean, gpa.rotations)):
                 new_shapes[i] = project_to_preshape(cfg)

@@ -23,13 +23,13 @@ GOLDEN = {
     "readme": (
         ["--sigma", "0.15", "--n-bg", "60", "--n-fg", "20", "--frames", "30", "--seed", "7"],
         ["--seed", "7"],
-        "31f5cc329c9342f7b5cfe668b0bf79dc4e815e2c8e63c2aa91ddae702f9bd424",
+        "e38cb930d44a84aac162280603585034bcfeea10a6c31b3a2aba673a441f706d",
     ),
     # Acceptance criterion 7's scene: four blocks.
     "four_blocks": (
         ["--sigma", "0.15", "--n-bg", "40", "--n-fg", "15", "--frames", "80", "--seed", "5"],
         ["--max-block-len", "25", "--seed", "5"],
-        "e3ffbf11f6a87f5a0afb4daa17a3967738ce34ff6ae8a9567d91d27b1f47b051",
+        "24fb2f35854bcd543ee10b03bfa1ed70f6d1978ba24d0dcc7b773a53cc836a17",
     ),
 }
 
@@ -57,7 +57,7 @@ PARTIAL_SCENE = SceneParams(
     object_speed=0.6,
     seed=3001,
 )
-PARTIAL_DIGEST = "c292fd0846fb775e5882a22f2d4879505c5f71d892a13be613bc84b871f0b6ad"
+PARTIAL_DIGEST = "ab8528caa5f27eb9811ea14065436b1e55b63961de77a4a5c82e51d60e92aa49"
 
 
 def test_partial_tracks_digest(tmp_path):

@@ -1,14 +1,23 @@
-"""Labels do not depend on trajectory order or on order-preserving id maps.
+"""Labels do not depend on trajectory order, order-preserving id maps or mirroring.
 
 Per-block and fused labels must come out the same when the trajectories
 are shuffled, in the ``TrajectoryStore`` tuple or in the lines of the
-trajectory file, and when ids are relabeled by a strictly increasing map.
+trajectory file, when ids are relabeled by a strictly increasing map,
+and when the frame is mirrored, x -> W - x or y -> H - y.
+
+A mirror maps each complex trajectory z to -conj(z) or conj(z) plus a
+shift. Centering removes the shift and the sign is a rotation, so every
+Procrustes distance, ``sqrt(2 - 2|<z_a, z_b>|)``, stays the same
+(``|<conj z_a, conj z_b>| = |<z_a, z_b>|``). The grid cells and the
+distances to their centers are mirrored too, and bounding boxes keep
+their areas.
 
 An arbitrary permutation of the ids is not a documented invariant:
 within a grid cell a representative distance tie goes to the lowest id,
-and the representatives enter the affinity matrix and k-means in id
-order, so a map that reorders ids may pick other representatives or
-another k-means start.
+the representatives enter the affinity matrix in id order, and label 0
+goes to the side of the cut that holds the first of them, so a map that
+reorders ids may pick other representatives or name the block's
+clusters the other way round.
 """
 
 from __future__ import annotations
@@ -124,3 +133,21 @@ def test_file_order(tmp_path_factory, case):
         outputs.append((code, out.read_bytes() if code == 0 else None))
     assert outputs[0] == outputs[1]
 
+
+
+def _mirrored(store: TrajectoryStore, axis: int) -> TrajectoryStore:
+    """The store with x -> W - x (axis 0) or y -> H - y (axis 1)."""
+    size = store.frame_size[axis]
+    trajs = []
+    for t in store.trajectories:
+        points = np.array(t.points)
+        points[:, axis] = size - points[:, axis]
+        trajs.append(Trajectory(t.id, t.start_frame, points))
+    return TrajectoryStore(tuple(trajs), store.n_frames_total, store.frame_size)
+
+
+@PROPERTY
+@given(scenes(), st.sampled_from([0, 1]))
+def test_mirror(case, axis):
+    store, params, _ = case
+    assert _segment(_mirrored(store, axis), params) == _segment(store, params)

@@ -45,6 +45,19 @@ from conftest import oracle_valid_points
 # A coordinate that passes the type check but overflows a float.
 HUGE_INT = 10**400
 
+# The label file that ``synth --sigma 0.05 --n-bg 5 --n-fg 3 --frames 12
+# --seed 1`` then ``segment --grid 4`` wrote before ``--outer-iters`` and
+# ``--jacobi-iters`` were retired: its params record still holds them, and
+# the constant ``m``.
+RETIRED_KEYS_LABELS = (
+    '{"type":"params","params":{"command":"segment","omega":0.02,"lambda":0.2,'
+    '"outer_iters":3,"jacobi_iters":5,"m":2,"span_threshold":0.7,"min_span_fraction":0.1,'
+    '"grid":4,"max_block_len":60,"min_block_len":10,"seed":0}}\n'
+    '{"type":"block","range":[0,12],"labels":{"0":0,"1":0,"2":0,"3":0,"4":0,"5":1,"6":1,"7":1}}\n'
+    '{"type":"fused","labels":{"0":0,"1":0,"2":0,"3":0,"4":0,"5":1,"6":1,"7":1},'
+    '"foreground_cluster":1}\n'
+)
+
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -431,6 +444,46 @@ class TestCli:
         assert not out.exists() and not gt.exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["synth", "--camera-speed", "1e307"],
+                "generate stage failed: camera/object drift too large for the frame size",
+            ),
+            (
+                ["synth", "--object-speed", "1.7e308"],
+                "generate stage failed: camera/object drift too large for the frame size",
+            ),
+            (
+                ["synth", "--sigma", "1e6"],
+                "generate stage failed: sigma=1e+06 is too large: the jitter overflows",
+            ),
+            (["segment", "--omega", "5e-324"], "segment stage failed: omega=4.94066e-324 is too small"),
+        ],
+        ids=["camera-speed", "object-speed", "sigma", "omega"],
+    )
+    def test_extreme_finite_parameter_is_one_line_error(self, tmp_path, capsys, argv, message):
+        # As each neighbouring error (a drift too large for the frame, an
+        # omega too small): exit 1, one stderr line, and no numpy overflow
+        # warning on the way.
+        command, *flags = argv
+        out, gt = tmp_path / "t.jsonl", tmp_path / "gt.jsonl"
+        if command == "synth":
+            base = ["synth", "--sigma", "0.1", "--n-bg", "6", "--n-fg", "3", "--frames", "10"]
+            argv = [*base, "--out", str(out), "--gt", str(gt), *flags]
+        else:
+            traj, _ = self._synth(tmp_path, 0.15)
+            argv = ["segment", "--input", str(traj), "--output", str(out), *flags]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"jitterseg {command}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists() and not gt.exists()
+
+    @pytest.mark.parametrize(
         "key, text, message",
         [
             *[("grid", text, "an integer") for text in ("NaN", "Infinity", "-Infinity", "2.5")],
@@ -448,8 +501,6 @@ class TestCli:
         "flag, name",
         [
             ("--grid", "grid_cells"),
-            ("--outer-iters", "outer_iters"),
-            ("--jacobi-iters", "jacobi_iters"),
             ("--max-block-len", "max_block_len"),
             ("--jobs", "jobs"),
         ],
@@ -643,6 +694,44 @@ class TestCli:
     def test_unknown_flag_is_usage_error(self):
         assert run_cli(["segment", "--nope"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--outer-iters", "3"), ("--jacobi-iters", "5")])
+    def test_retired_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        traj, _ = self._synth(tmp_path, 0.0)
+        out = tmp_path / "x"
+        assert run_cli(["segment", "--input", str(traj), "--output", str(out), flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retired_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"outer_iters": 3}')
+        assert run_cli(["segment", "--config", str(cfg), "--input", "x", "--output", "y"]) == 2
+        assert "unknown config keys: ['outer_iters']" in capsys.readouterr().err
+
+    def test_label_file_with_retired_params_keys_still_reads(self, tmp_path, capsys):
+        old = tmp_path / "old.jsonl"
+        old.write_text(RETIRED_KEYS_LABELS)
+        params = parse_labels(old).params
+        assert (params["outer_iters"], params["jacobi_iters"], params["m"]) == (3, 5, 2)
+        # The same run today writes the same lines after a shorter params record.
+        scene, gt, new = tmp_path / "scene.jsonl", tmp_path / "gt.jsonl", tmp_path / "new.jsonl"
+        synth = ["--sigma", "0.05", "--n-bg", "5", "--n-fg", "3", "--frames", "12", "--seed", "1"]
+        assert run_cli(["synth", *synth, "--out", str(scene), "--gt", str(gt)]) == 0
+        assert run_cli(["segment", "--input", str(scene), "--output", str(new), "--grid", "4"]) == 0
+        old_params, *old_rest = RETIRED_KEYS_LABELS.splitlines()
+        new_params, *new_rest = new.read_text().splitlines()
+        assert new_rest == old_rest
+        dropped = {"outer_iters": 3, "jacobi_iters": 5, "m": 2}
+        assert {**json.loads(new_params)["params"], **dropped} == params
+        capsys.readouterr()
+        assert run_cli(["eval", "--pred", str(old), "--gt", str(gt)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "accuracy": 1.0,
+            "confusion": [[5, 0], [0, 3]],
+            "n_labeled": 8,
+            "n_unlabeled": 0,
+        }
+
     def test_missing_input_is_usage_error(self):
         assert run_cli(["segment", "--output", "x.jsonl"]) == 2
 
@@ -661,22 +750,17 @@ class TestCli:
         assert data.params["seed"] == 9
         assert data.params["omega"] == 0.02
         assert data.params["lambda"] == 0.2
-        assert data.params["outer_iters"] == 3
-        assert data.params["jacobi_iters"] == 5
 
     def test_defaults_match_published_constants(self, tmp_path):
-        # Bandwidth 0.02, weight 0.2, 3 rounds, 5 sweeps, 2 clusters,
-        # 70% coverage, 10% spanning fraction.
+        # Bandwidth 0.02, weight 0.2, 70% coverage, 10% spanning fraction.
         traj, _ = self._synth(tmp_path, 0.0)
         labels = tmp_path / "labels.jsonl"
         run_cli(["segment", "--input", str(traj), "--output", str(labels)])
         p = parse_labels(labels).params
         assert (p["omega"], p["lambda"]) == (0.02, 0.2)
-        assert (p["outer_iters"], p["jacobi_iters"], p["m"]) == (3, 5, 2)
         assert (p["span_threshold"], p["min_span_fraction"]) == (0.7, 0.1)
         params = SegmenterParams()
-        assert (params.omega, params.lam, params.outer_iters) == (0.02, 0.2, 3)
-        assert (params.jacobi_iters, params.m) == (5, 2)
+        assert (params.omega, params.lam) == (0.02, 0.2)
         assert (params.span_threshold, params.min_span_fraction) == (0.7, 0.1)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -807,13 +891,14 @@ class TestCli:
     def test_config_dash_keys_accepted(self, tmp_path):
         traj, _ = self._synth(tmp_path, 0.0)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"outer-iters": 2, "max-block-len": 40}))
+        cfg.write_text(json.dumps({"span-threshold": 0.8, "max-block-len": 40}))
         labels = tmp_path / "labels.jsonl"
         code = run_cli(
             ["segment", "--config", str(cfg), "--input", str(traj), "--output", str(labels)]
         )
         assert code == 0
-        assert parse_labels(labels).params["outer_iters"] == 2
+        params = parse_labels(labels).params
+        assert (params["span_threshold"], params["max_block_len"]) == (0.8, 40)
 
     def test_eval_unknown_id_is_pipeline_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
@@ -881,8 +966,6 @@ class TestSkippedBlock:
 _SEGMENT_FIELDS = {
     "omega": "omega",
     "lambda": "lam",
-    "outer-iters": "outer_iters",
-    "jacobi-iters": "jacobi_iters",
     "span-threshold": "span_threshold",
     "min-span-fraction": "min_span_fraction",
     "grid": "grid_cells",
@@ -903,8 +986,6 @@ _segment_values = st.fixed_dictionaries(
     {
         "omega": st.floats(0.01, 0.1),
         "lambda": st.floats(0.0, 1.0),
-        "outer-iters": st.integers(1, 3),
-        "jacobi-iters": st.integers(1, 8),
         "span-threshold": st.floats(0.3, 1.0),
         "min-span-fraction": st.floats(0.05, 0.5),
         "grid": st.integers(4, 16),
@@ -956,7 +1037,7 @@ class TestParamsAgree:
         expected = SegmenterParams(**{_SEGMENT_FIELDS[k]: v for k, v in values.items()})
         assert _params(SegmenterParams, _SEGMENT, record) == expected
         assert len(record) == 1 + len(dataclasses.fields(SegmenterParams))
-        assert {k: record[k] for k in ("m", "min_block_len")} == {"m": 2, "min_block_len": 10}
+        assert record["min_block_len"] == 10
 
     @settings(max_examples=6, deadline=None)
     @given(values=_synth_values)

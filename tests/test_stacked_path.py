@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -168,6 +167,7 @@ class TestStragglersOracle:
 
 @st.composite
 def block_cases(draw, frames=(8, 36), block_lens=(60,)):
+    """A seeded store, its params, and the oracle's round and sweep counts."""
     seed = draw(st.integers(0, 2**16))
     n_frames = draw(st.integers(*frames))
     scene = generate_scene(
@@ -191,16 +191,17 @@ def block_cases(draw, frames=(8, 36), block_lens=(60,)):
         still = np.tile(trajs[0].points[0], (n_frames - trajs[0].start_frame, 1))
         trajs.append(Trajectory(10_000, trajs[0].start_frame, still))
     store = TrajectoryStore(tuple(trajs), n_frames, FRAME)
+    rounds = draw(st.sampled_from([2, 3, 1]))
+    lam = draw(st.sampled_from([0.0, 0.2, 0.6, 5.0]))
+    jacobi_iters = draw(st.sampled_from([5, 1]))
     params = SegmenterParams(
-        outer_iters=draw(st.sampled_from([2, 3, 1])),
-        lam=draw(st.sampled_from([0.0, 0.2, 0.6, 5.0])),
-        jacobi_iters=draw(st.sampled_from([5, 1])),
+        lam=lam,
         grid_cells=draw(st.sampled_from([4, 8, 16])),
         span_threshold=draw(st.sampled_from([0.5, 0.7])),
         max_block_len=draw(st.sampled_from(block_lens)),
         seed=seed % 97,
     )
-    return store, params
+    return store, params, rounds, jacobi_iters
 
 
 # How far a later round of the oracle may move the means: it aligns
@@ -219,31 +220,33 @@ def _assert_same_means(got, want, atol):
         np.testing.assert_allclose(g_pre, w_pre, rtol=0, atol=atol)
 
 
-def _assert_same_block(store, params):
-    """Labels equal the oracle's at the drawn round count. Means equal
-    its first round's to rounding and its last round's to
-    ``LATER_ROUND_ATOL``."""
+def _assert_same_block(store, params, rounds, jacobi_iters):
+    """Labels equal the oracle's at ``rounds`` rounds of ``jacobi_iters``
+    sweeps. Means equal its first round's to rounding and its last
+    round's to ``LATER_ROUND_ATOL``."""
     try:
         block = partition_blocks(store, params)[0]
-        want = oracle_segment_block(store, block, params)
+        want = oracle_segment_block(store, block, params, rounds=rounds, jacobi_iters=jacobi_iters)
     except JittersegError as exc:
         with pytest.raises(type(exc)):
             segment_block(store, partition_blocks(store, params)[0], params)
         return
     got = segment_block(store, block, params)
     assert got.labels == want.labels
-    first = oracle_segment_block(store, block, replace(params, outer_iters=1))
+    first = oracle_segment_block(store, block, params, rounds=1, jacobi_iters=jacobi_iters)
     _assert_same_means(got, first, 1e-12)
     _assert_same_means(got, want, LATER_ROUND_ATOL)
 
 
-def _oracle_fused(store, params) -> dict[int, int]:
+def _oracle_fused(store, params, rounds, jacobi_iters) -> dict[int, int]:
     """``fuse_blocks`` over the oracle's block results, skipping blocks
     with too few representatives as ``segment_store`` does."""
     results = []
     for block in partition_blocks(store, params):
         try:
-            results.append(oracle_segment_block(store, block, params))
+            results.append(
+                oracle_segment_block(store, block, params, rounds=rounds, jacobi_iters=jacobi_iters)
+            )
         except TooFewRepresentatives:
             results.append(BlockResult(block, {}, ()))
     if not any(r.labels for r in results):
@@ -251,12 +254,12 @@ def _oracle_fused(store, params) -> dict[int, int]:
     return fuse_blocks(results, store)
 
 
-def _assert_same_fused(store, params):
+def _assert_same_fused(store, params, rounds, jacobi_iters):
     """Fused labels equal ``fuse_blocks`` over the oracle's blocks."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            want = _oracle_fused(store, params)
+            want = _oracle_fused(store, params, rounds, jacobi_iters)
         except JittersegError as exc:
             with pytest.raises(type(exc)):
                 segment_store(store, params)
@@ -271,26 +274,26 @@ class TestSegmentBlockOracle:
     def test_matches_per_member_loop(self, case):
         _assert_same_block(*case)
 
-    @pytest.mark.parametrize("outer_iters", [1, 2, 3])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
     @pytest.mark.parametrize("sigma", [0.05, 0.25])
-    def test_every_round_count(self, outer_iters, sigma):
+    def test_every_round_count(self, rounds, sigma):
         # The oracle's later rounds cluster members rebuilt from the
         # smoothed means; one pass must give what any round count gives.
         scene = generate_scene(SceneParams(n_bg=20, n_fg=8, n_frames=20, sigma=sigma, seed=4))
-        _assert_same_block(scene.store, SegmenterParams(outer_iters=outer_iters, seed=4))
+        _assert_same_block(scene.store, SegmenterParams(seed=4), rounds, 5)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(block_cases(frames=(40, 80), block_lens=(15, 20, 30)))
     def test_fused_labels_match_the_oracle_blocks(self, case):
         _assert_same_fused(*case)
 
-    @pytest.mark.parametrize("outer_iters", [1, 3])
-    def test_two_frame_trailing_block(self, outer_iters):
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_two_frame_trailing_block(self, rounds):
         # Blocks [0, 20), [20, 40) and [40, 42). Any two points have one
         # shape, so the last block is skipped rather than split by rounding;
         # fusion passes over it, so no block boundary lacks shared tracks.
         scene = generate_scene(SceneParams(n_bg=20, n_fg=8, n_frames=42, sigma=0.15, seed=2))
-        params = SegmenterParams(outer_iters=outer_iters, max_block_len=20, seed=2)
+        params = SegmenterParams(max_block_len=20, seed=2)
         blocks = partition_blocks(scene.store, params)
         assert [b.frame_range for b in blocks] == [(0, 20), (20, 40), (40, 42)]
         with pytest.warns(BlockSkipped, match=r"0 representatives in block \(40, 42\)") as record:
@@ -298,15 +301,14 @@ class TestSegmentBlockOracle:
         assert [w.category for w in record] == [BlockSkipped]
         assert [bool(r.labels) for r in results] == [True, True, False]
         with pytest.raises(TooFewRepresentatives):
-            oracle_segment_block(scene.store, blocks[2], params)
-        _assert_same_fused(scene.store, params)
+            oracle_segment_block(scene.store, blocks[2], params, rounds=rounds, jacobi_iters=5)
+        _assert_same_fused(scene.store, params, rounds, 5)
 
 
 def test_traced_names_are_called(monkeypatch):
     """``segment_block`` calls its stages by their ``jitterseg.segmenter``
     names, where ``bench/tracing.py`` installs its per-layer spans: one
-    affinity and clustering and one GPA per cluster, whatever the round
-    count, and no smoothing."""
+    affinity and clustering and one GPA per cluster, and no smoothing."""
     calls = Counter()
     straggler_args = []
     names = (
@@ -328,7 +330,7 @@ def test_traced_names_are_called(monkeypatch):
 
         monkeypatch.setattr(segmenter, name, counted)
     scene = generate_scene(SceneParams(n_bg=20, n_fg=8, n_frames=20, sigma=0.05, seed=1))
-    params = SegmenterParams(outer_iters=2)
+    params = SegmenterParams()
     block = partition_blocks(scene.store, params)[0]
     segment_block(scene.store, block, params)
     assert set(calls) == set(names) - {"stabilize_mean"}
