@@ -97,4 +97,8 @@ class BlockSkipped(Warning):
 
 
 class DegenerateScene(Warning):
-    """A synthetic scene configuration produces motionless trajectories."""
+    """A synthetic scene configuration yields a scene with little or no shape.
+
+    Either its trajectories are motionless (a static camera without
+    jitter), or its jitter clips most points onto the frame border.
+    """

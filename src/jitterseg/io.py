@@ -4,6 +4,9 @@ A trajectory file starts with a header record
 ``{"frames": T, "width": W, "height": H}`` followed by one record per
 trajectory ``{"id": i, "start": s, "points": [[x, y], ...]}``.
 Coordinates survive a round trip bit-for-bit (shortest-repr floats).
+A parsed file becomes a ``TrajectoryStore`` over the columns it was read
+into: every point lies once in one float buffer, and the store's one
+check validates ids, frame ranges and points for the whole file.
 
 A label file holds an optional ``params`` record (the complete effective
 parameter set of the run), one ``block`` record per processed block
@@ -25,7 +28,6 @@ import numpy as np
 
 from .errors import BoundsError, DuplicateId, JittersegError, ParseError
 from .segmenter import MAX_INT_PARAM, BlockResult, TrajectoryStore
-from .shapes import Trajectory
 
 
 def _dump(record: dict) -> str:
@@ -113,12 +115,16 @@ def _valid_points(pts) -> bool:
 
 
 def serialize_trajectories(store: TrajectoryStore, path) -> None:
+    """Write a store as a trajectory file, one record per track in id order."""
     width, height = store.frame_size
+    ids, starts, ends = store.frame_spans
+    first = store.point_rows[1]
+    tracks = zip(ids.tolist(), starts.tolist(), first.tolist(), (first + ends - starts).tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(_dump({"frames": store.n_frames_total, "width": width, "height": height}))
         f.write("\n")
-        for t in sorted(store.trajectories, key=lambda tr: tr.id):
-            rec = {"id": t.id, "start": t.start_frame, "points": t.points.tolist()}
+        for tid, start, lo, hi in tracks:
+            rec = {"id": tid, "start": start, "points": store.points[lo:hi].tolist()}
             f.write(_dump(rec))
             f.write("\n")
 
@@ -126,20 +132,20 @@ def serialize_trajectories(store: TrajectoryStore, path) -> None:
 def parse_trajectories(path) -> TrajectoryStore:
     """Read a trajectory file into a store.
 
-    Records are read one line at a time. Their structure (JSON, keys
-    named once, integer types, point lists), ids and frame ranges are
-    checked as they are read, and their points are appended to one
-    float64 buffer; the JSON objects are dropped at once. Finiteness and
-    the frame bounds are checked once over the whole buffer. Whichever
-    check fails, the error is raised for the first faulty record in file
-    order, with its line number. The trajectories are read-only row views
-    of the buffer.
+    Records are read one line at a time and their structure (JSON, keys
+    named once, integer types, point lists) is checked as they are read.
+    Each record's id, start frame and line number are appended to integer
+    columns and its points to one float64 buffer; the JSON objects are
+    dropped at once. The store adopts the columns as they are and its one
+    check (``TrajectoryStore.first_fault``) covers ids, frame ranges,
+    finiteness and frame bounds over all of them at once. Whichever check
+    fails, the error is raised for the first faulty record in file order,
+    with its line number.
     """
     header = None
     coords = array("d")
-    tracks: list[tuple[int, int, int]] = []  # (line, id, start) per trajectory
-    bounds = [0]  # track i owns buffer rows bounds[i]:bounds[i + 1]
-    seen: set[int] = set()
+    ids, starts, lines = array("q"), array("q"), array("q")  # per trajectory
+    bounds = array("q", [0])  # track i owns buffer rows bounds[i]:bounds[i + 1]
     fault = None
     try:
         for lineno, line, rec in _records(path, unique_keys):
@@ -148,8 +154,17 @@ def parse_trajectories(path) -> TrajectoryStore:
             if header is None:
                 header = _parse_header(rec, lineno)
                 continue
-            tracks.append(_parse_record(rec, lineno, line, header[0], seen, coords))
+            tid, start, overflow = _parse_record(rec, lineno, line, coords)
+            ids.append(tid)
+            # Every start outside [0, frames] breaks the frame rule, and
+            # clamped to [-1, frames] it still does and fits in 64 bits.
+            starts.append(min(max(start, -1), header[0]))
+            lines.append(lineno)
             bounds.append(len(coords) // 2)
+            if overflow:
+                raise ParseError(
+                    f"trajectory {tid} has an integer coordinate too large for a float", lineno
+                )
     except JittersegError as exc:
         fault = exc
     if header is None:
@@ -157,14 +172,22 @@ def parse_trajectories(path) -> TrajectoryStore:
     frames, width, height = header
     # Rows past the last complete record belong to a record that failed.
     rows = np.frombuffer(coords, dtype=float)[: 2 * bounds[-1]].reshape(-1, 2)
-    rows.flags.writeable = False
-    _check_rows(rows, tracks, bounds, width, height)
+    columns = (np.frombuffer(c, dtype=np.int64) for c in (ids, starts, bounds))
+    store = TrajectoryStore._of_columns(*columns, rows, frames, (width, height))
+    broken = store.first_fault()
+    if broken is not None:
+        line, tid = lines[broken[0]], ids[broken[0]]
+        raise {
+            "duplicate": DuplicateId(f"line {line}: trajectory id {tid} appears twice"),
+            "frames": BoundsError(
+                f"line {line}: trajectory {tid} covers frames outside [0, {frames})"
+            ),
+            "non-finite": ParseError(f"trajectory {tid} has a non-finite coordinate", line),
+            "outside": BoundsError(f"line {line}: trajectory {tid} leaves the frame bounds"),
+        }[broken[1]]
     if fault is not None:
         raise fault
-    ids = [tid for _, tid, _ in tracks]
-    starts = [start for _, _, start in tracks]
-    trajectories = Trajectory.from_rows(ids, starts, rows, bounds)
-    return TrajectoryStore(trajectories, frames, (width, height))
+    return store
 
 
 def _parse_header(rec: dict, lineno: int) -> tuple[int, int, int]:
@@ -180,11 +203,14 @@ def _parse_header(rec: dict, lineno: int) -> tuple[int, int, int]:
     return rec["frames"], rec["width"], rec["height"]
 
 
-def _parse_record(rec: dict, lineno: int, line: str, frames: int, seen: set, coords: array):
-    """Check one trajectory record and append its points to ``coords``.
+def _parse_record(rec: dict, lineno: int, line: str, coords: array) -> tuple[int, int, bool]:
+    """Check one trajectory record's structure and append its points to ``coords``.
 
-    Returns (line, id, start). Finiteness and frame bounds of the points
-    are left to ``_check_rows``.
+    Returns (id, start, overflow). ``overflow`` says that a coordinate is
+    an integer too large for a float; the record's rows are then zeros,
+    which break no store rule, so that its id and frame range are still
+    checked before the overflow is reported. Ids, frame ranges,
+    finiteness and frame bounds are left to the store's check.
 
     The points are not checked value by value before they are appended.
     ``array.fromlist`` takes only ints and floats, and leaves the array
@@ -206,8 +232,7 @@ def _parse_record(rec: dict, lineno: int, line: str, frames: int, seen: set, coo
     tid, start, pts = rec["id"], rec["start"], rec["points"]
     if not (_is_int(tid) and _is_int(start)):
         raise ParseError("'id' and 'start' must be integers", lineno)
-    # The store keeps ids as int64. ('start' past the header's frames is a
-    # BoundsError below.)
+    # The store keeps ids as int64.
     if not -(2**63) <= tid < 2**63:
         raise ParseError("'id' must fit in a 64-bit integer", lineno)
     if (
@@ -216,46 +241,17 @@ def _parse_record(rec: dict, lineno: int, line: str, frames: int, seen: set, coo
         or (("u" in line or "l" in line) and not _valid_points(pts))
     ):
         raise ParseError(_POINTS_MESSAGE, lineno)
-    overflow = False
     try:
         coords.fromlist(list(chain.from_iterable(pts)))
     except (TypeError, OverflowError):
         if not _valid_points(pts):
             raise ParseError(_POINTS_MESSAGE, lineno) from None
-        overflow = True  # the values are numbers: an int too large for a float
-    else:
-        if set(map(len, pts)) != {2}:
-            raise ParseError(_POINTS_MESSAGE, lineno)
-    if tid in seen:
-        raise DuplicateId(f"line {lineno}: trajectory id {tid} appears twice")
-    seen.add(tid)
-    if start < 0 or start + len(pts) > frames:
-        raise BoundsError(
-            f"line {lineno}: trajectory {tid} covers frames outside [0, {frames})"
-        )
-    if overflow:
-        raise ParseError(
-            f"trajectory {tid} has an integer coordinate too large for a float", lineno
-        )
-    return lineno, tid, start
-
-
-def _check_rows(rows: np.ndarray, tracks, bounds, width: int, height: int) -> None:
-    """Raise for the first track with a non-finite or out-of-frame point.
-
-    One pass over all rows: a NaN or infinite coordinate also fails the
-    frame test, and within the first failing track a non-finite
-    coordinate is reported before an out-of-frame one.
-    """
-    x, y = rows[:, 0], rows[:, 1]
-    inside = (x >= 0) & (x <= width) & (y >= 0) & (y <= height)
-    if inside.all():
-        return
-    i = int(np.searchsorted(bounds, np.argmin(inside), side="right")) - 1
-    lineno, tid, _ = tracks[i]
-    if not np.isfinite(rows[bounds[i] : bounds[i + 1]]).all():
-        raise ParseError(f"trajectory {tid} has a non-finite coordinate", lineno)
-    raise BoundsError(f"line {lineno}: trajectory {tid} leaves the frame bounds")
+        # The values are numbers: an int too large for a float.
+        coords.frombytes(bytes(16 * len(pts)))
+        return tid, start, True
+    if set(map(len, pts)) != {2}:
+        raise ParseError(_POINTS_MESSAGE, lineno)
+    return tid, start, False
 
 
 @dataclass(frozen=True)

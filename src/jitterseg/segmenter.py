@@ -9,6 +9,13 @@ enough of the block are labeled by their nearest cluster mean. A block
 yields only these labels and the two means. Per-block labels are
 finally reconciled into one foreground/background labeling, passing
 over blocks that were skipped.
+
+A ``TrajectoryStore`` keeps every point once, in one read-only (M, 2)
+buffer beside per-track id, first-frame and row-bound columns, and one
+vectorized check (``TrajectoryStore.first_fault``) validates them. Every
+stage reads these columns: the windows of many tracks are gathered from
+the buffer's complex view by index arithmetic, and no ``Trajectory`` is
+built between a parsed file and its labels.
 """
 
 from __future__ import annotations
@@ -57,9 +64,6 @@ _FRACTION_EPS = 1e-9
 # Distance ties this close are resolved to the lower cluster index.
 _TIE_EPS = 1e-12
 
-# Points per group in TrajectoryStore's bounds check (64 KiB of float pairs).
-_CHECK_ROWS = 4096
-
 # Candidate-frame cells per pass of straggler labeling: bounds the size of
 # its (3, rows, frames) complex temporaries on huge blocks.
 _STRAGGLER_CELLS = 2**14
@@ -81,101 +85,146 @@ def check_at_most(name: str, value: int) -> None:
         raise InvalidParameter(f"{name} must be <= {MAX_INT_PARAM}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TrajectoryStore:
     """All trajectories of a sequence plus its frame count and pixel size.
 
-    Ids must be distinct, every track must end by ``n_frames_total`` and
-    every point must lie in ``[0, width] x [0, height]``. These checks are
-    vectorized over all tracks, with no numpy call per track, and the
-    first offending track in order is reported (``DuplicateId`` or
-    ``BoundsError``).
+    The points are kept once, as columns: ``points`` is one read-only
+    (M, 2) float buffer, and ``ids``, ``starts`` and ``bounds`` give each
+    track, in store order, its id, its first frame and its rows (track
+    ``i`` owns ``points[bounds[i]:bounds[i + 1]]``). ``frame_spans`` and
+    ``point_rows`` read them in id order without copying a point;
+    ``trajectories`` and ``by_id`` are read-only ``Trajectory`` views of
+    the buffer, built when first used.
+
+    ``TrajectoryStore(trajectories, n_frames_total, frame_size)`` copies
+    the tracks' points into a new buffer; ``parse_trajectories`` and the
+    synthetic scenes hand over their columns as they are. Every store
+    passes the one store check, ``first_fault``: ids are distinct, every
+    track ends by ``n_frames_total`` and every point is finite and lies
+    in ``[0, width] x [0, height]``. The constructor reports the first
+    offending track in store order (``DuplicateId`` or ``BoundsError``);
+    the parser names its line. ``n_frames_total`` is at least 2 and at
+    most ``MAX_INT_PARAM``.
     """
 
-    trajectories: tuple[Trajectory, ...]
     n_frames_total: int
     frame_size: tuple[int, int]
-    # Ids, start frames and end frames (one past the last), in id order.
-    frame_spans: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    ids: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    bounds: np.ndarray = field(repr=False)
+    points: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        trajs = tuple(self.trajectories)
-        object.__setattr__(self, "trajectories", trajs)
-        object.__setattr__(self, "frame_size", tuple(self.frame_size))
-        width, height = self.frame_size
-        if width <= 0 or height <= 0:
-            raise InvalidParameter("frame_size must be positive")
-        if self.n_frames_total < 2:
-            raise InvalidParameter("n_frames_total must be >= 2")
+    def __init__(self, trajectories, n_frames_total: int, frame_size: tuple[int, int]):
+        trajs = tuple(trajectories)
         try:
-            spans = np.array(
-                [(t.id, t.start_frame, t.end_frame) for t in trajs], dtype=np.int64
-            ).reshape(-1, 3)
+            ids = np.array([t.id for t in trajs], dtype=np.int64)
+            starts = np.array([t.start_frame for t in trajs], dtype=np.int64)
         except OverflowError:
             raise BoundsError("trajectory ids and frames must fit in 64-bit integers") from None
-        ids, starts, ends = spans.T
-        order = np.argsort(ids, kind="stable")
-        object.__setattr__(self, "frame_spans", tuple(spans[order].T.copy()))
-        if not trajs:
-            return
-        repeat = np.zeros(len(trajs), dtype=bool)
-        repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
-        past_end = ends > self.n_frames_total
-        bad = repeat | past_end | self._leaving_frame(ends - starts)
-        if bad.any():
-            i = int(np.argmax(bad))
-            tid = trajs[i].id
-            if repeat[i]:
-                raise DuplicateId(f"trajectory id {tid} appears twice")
-            if past_end[i]:
-                raise BoundsError(f"trajectory {tid} extends past frame {self.n_frames_total - 1}")
-            raise BoundsError(f"trajectory {tid} leaves the frame bounds")
+        bounds = np.cumsum([0, *(t.n_points for t in trajs)])
+        points = np.concatenate([t.points for t in trajs]) if trajs else np.empty((0, 2))
+        self._adopt(ids, starts, bounds, points, n_frames_total, frame_size)
+        self._checked()
 
-    def _leaving_frame(self, counts: np.ndarray) -> np.ndarray:
-        """Per track, whether some point lies outside [0, width] x [0, height].
+    @classmethod
+    def _of_columns(cls, ids, starts, bounds, points, n_frames_total, frame_size):
+        """A store over int64 columns and an (M, 2) float buffer, not copied.
 
-        ``counts`` holds each track's number of points, in store order.
-
-        Tracks are checked in consecutive groups of about ``_CHECK_ROWS``
-        points, each group concatenated into one small array: one
-        whole-store copy would be a large temporary, and freeing it makes
-        glibc keep about twice its size of heap resident afterwards.
+        The arrays are made read-only. Each track needs at least 2 rows
+        and ``bounds`` runs from 0 to M. The store rules are not checked:
+        call ``_checked`` or read ``first_fault``.
         """
+        store = cls.__new__(cls)
+        store._adopt(ids, starts, bounds, points, n_frames_total, frame_size)
+        return store
+
+    def _adopt(self, ids, starts, bounds, points, n_frames_total, frame_size) -> None:
+        width, height = frame_size
+        if width <= 0 or height <= 0:
+            raise InvalidParameter("frame_size must be positive")
+        if n_frames_total < 2:
+            raise InvalidParameter("n_frames_total must be >= 2")
+        check_at_most("n_frames_total", n_frames_total)
+        for column in (ids, starts, bounds, points):
+            column.flags.writeable = False
+        vars(self).update(n_frames_total=n_frames_total, frame_size=(width, height))
+        vars(self).update(ids=ids, starts=starts, bounds=bounds, points=points)
+
+    def first_fault(self) -> tuple[int, str] | None:
+        """The first track in store order that breaks a store rule, and the rule.
+
+        The rules, in the order one track's faults are reported:
+        ``"duplicate"`` (an earlier track has its id), ``"frames"`` (it
+        starts before frame 0 or ends past ``n_frames_total``),
+        ``"non-finite"`` (a NaN or infinite coordinate) and ``"outside"``
+        (a point outside ``[0, width] x [0, height]``). One pass over the
+        columns, with no numpy call per track.
+        """
+        ids, starts, bounds, order = self.ids, self.starts, self.bounds, self._id_order
+        repeat = np.zeros(ids.size, dtype=bool)
+        repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        frames = (starts < 0) | (starts > self.n_frames_total - np.diff(bounds))
         width, height = self.frame_size
-        trajs = self.trajectories
-        firsts = np.cumsum(counts) - counts  # each track's first row in the store
-        leaving = np.empty(len(trajs), dtype=bool)
-        lo = 0
-        while lo < len(trajs):
-            hi = max(lo + 1, int(np.searchsorted(firsts, firsts[lo] + _CHECK_ROWS)))
-            points = np.concatenate([t.points for t in trajs[lo:hi]])
-            x, y = points[:, 0], points[:, 1]
-            outside = ~((x >= 0) & (x <= width) & (y >= 0) & (y <= height))
-            leaving[lo:hi] = np.logical_or.reduceat(outside, firsts[lo:hi] - firsts[lo])
-            lo = hi
-        return leaving
+        x, y = self.points[:, 0], self.points[:, 1]
+        inside = (x >= 0) & (x <= width) & (y >= 0) & (y <= height)  # False for NaN too
+        bad = repeat | frames
+        if not inside.all():
+            bad[np.searchsorted(bounds, np.argmin(inside), side="right") - 1] = True
+        if not bad.any():
+            return None
+        i = int(np.argmax(bad))
+        if repeat[i] or frames[i]:
+            return i, "duplicate" if repeat[i] else "frames"
+        finite = np.isfinite(self.points[bounds[i] : bounds[i + 1]]).all()
+        return i, "outside" if finite else "non-finite"
+
+    def _checked(self) -> TrajectoryStore:
+        """The store itself, once ``first_fault`` finds nothing; else its error."""
+        fault = self.first_fault()
+        if fault is not None:
+            tid, last = int(self.ids[fault[0]]), self.n_frames_total - 1
+            raise {
+                "duplicate": DuplicateId(f"trajectory id {tid} appears twice"),
+                "frames": BoundsError(f"trajectory {tid} extends past frame {last}"),
+                "non-finite": BoundsError(f"trajectory {tid} has a non-finite coordinate"),
+                "outside": BoundsError(f"trajectory {tid} leaves the frame bounds"),
+            }[fault[1]]
+        return self
+
+    @cached_property
+    def _id_order(self) -> np.ndarray:
+        return np.argsort(self.ids, kind="stable")
+
+    @cached_property
+    def frame_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids, start frames and end frames (one past the last), in id order."""
+        order = self._id_order
+        return self.ids[order], self.starts[order], (self.starts + np.diff(self.bounds))[order]
+
+    @cached_property
+    def point_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """All points as one complex vector, and each id-ordered track's first index.
+
+        The vector is the buffer's complex view, tracks in store order.
+        The k-th track of ``frame_spans`` has its point at frame ``f`` at
+        ``rows[first[k] + f - starts[k]]``, so the windows of many tracks
+        are gathered by index arithmetic, with no Python step per track.
+        """
+        return as_complex(self.points), self.bounds[:-1][self._id_order]
+
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """The tracks in store order, each a read-only view of the buffer."""
+        pieces = np.split(self.points, self.bounds[1:-1])
+        return tuple(map(Trajectory, self.ids.tolist(), self.starts.tolist(), pieces))
 
     @cached_property
     def by_id(self) -> Mapping[int, Trajectory]:
         return {t.id: t for t in self.trajectories}
 
-    @cached_property
-    def point_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """All points as one complex vector, tracks in id order, and each track's first index.
-
-        The k-th track of ``frame_spans`` has its point at frame ``f`` at
-        ``rows[first[k] + f - starts[k]]``, so the windows of many tracks
-        are gathered by index arithmetic, with no Python step per track.
-        """
-        ids, starts, ends = self.frame_spans
-        by_id = self.by_id
-        points = [by_id[tid].points for tid in ids.tolist()]
-        rows = as_complex(np.concatenate(points)) if points else np.empty(0, complex)
-        counts = ends - starts
-        return rows, np.cumsum(counts) - counts
-
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.ids.size
 
 
 @dataclass(frozen=True)
@@ -459,13 +508,15 @@ def _foreground_flip(result: BlockResult, store: TrajectoryStore) -> bool:
     reported as cluster 1. A cluster with no such position has an
     infinite box.
     """
-    frame = result.block.start
-    pts: dict[int, list[np.ndarray]] = {0: [], 1: []}
-    for tid, lab in result.labels.items():
-        t = store.by_id[tid]
-        if t.start_frame <= frame < t.end_frame:
-            pts[lab].append(t.points[frame - t.start_frame])
-    area = [np.prod(np.ptp(pts[c], axis=0)) if pts[c] else np.inf for c in (0, 1)]
+    frame, n = result.block.start, len(result.labels)
+    ids, starts, ends = store.frame_spans
+    rows, first = store.point_rows
+    k = np.searchsorted(ids, np.fromiter(result.labels, dtype=np.int64, count=n))
+    labels = np.fromiter(result.labels.values(), dtype=np.int64, count=n)
+    alive = (starts[k] <= frame) & (frame < ends[k])
+    z = rows[first[k[alive]] + frame - starts[k[alive]]]
+    pts = [z[labels[alive] == c] for c in (0, 1)]
+    area = [np.ptp(p.real) * np.ptp(p.imag) if p.size else np.inf for p in pts]
     return bool(area[0] < area[1])
 
 

@@ -81,36 +81,6 @@ class Trajectory:
             raise BoundsError(f"trajectory {self.id} has a non-finite coordinate")
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_rows(cls, ids, starts, rows: np.ndarray, bounds) -> tuple[Trajectory, ...]:
-        """Trajectory ``i`` over ``rows[bounds[i]:bounds[i + 1]]``, for every ``i``.
-
-        Builds a whole file's tracks from one (M, 2) buffer: the
-        constructor's checks run once over all rows instead of once per
-        track, and each track's points are a read-only view of the
-        buffer, not a copy.
-        """
-        rows = _readonly(rows)
-        if rows.ndim != 2 or rows.shape[1] != 2:
-            raise InvalidTrajectory(f"rows must be an (M, 2) array, got {rows.shape}")
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if bounds.size != len(ids) + 1 or bounds[0] != 0 or bounds[-1] != len(rows):
-            raise InvalidTrajectory("bounds must run from 0 to the row count, one per track")
-        if np.any(np.diff(bounds) < 2):
-            raise InvalidTrajectory("a trajectory needs at least 2 points")
-        if min(starts, default=0) < 0:
-            raise InvalidTrajectory("start_frame must be >= 0")
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            track = np.searchsorted(bounds, np.argmin(finite), side="right") - 1
-            raise BoundsError(f"trajectory {ids[track]} has a non-finite coordinate")
-        out = []
-        for tid, start, lo, hi in zip(ids, starts, bounds[:-1].tolist(), bounds[1:].tolist()):
-            t = object.__new__(cls)
-            vars(t).update(id=tid, start_frame=start, points=rows[lo:hi])
-            out.append(t)
-        return tuple(out)
-
     @property
     def n_points(self) -> int:
         return self.points.shape[0]

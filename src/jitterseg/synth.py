@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateScene, InvalidParameter, UnknownId
 from .segmenter import TrajectoryStore, check_at_most
-from .shapes import Trajectory
 
 # Jitter magnitudes per unit sigma: radians of roll, translation as a
 # fraction of the short frame side, and log-scale. Chosen so sigma = 0.25
@@ -30,6 +29,14 @@ JITTER_LOG_SCALE = 0.02
 # Frame margin (fraction of the short side) kept free for jitter so
 # clipping at the frame border stays rare.
 _JITTER_CUSHION = 0.05
+
+# Above this share of points clipped to the frame border, fuse_jitter
+# warns that the jitter has flattened the scene onto the border.
+MAX_CLIPPED_SHARE = 0.5
+
+# Buffer rows shaken per pass of fuse_jitter: its (rows, 2, 2) temporaries
+# stay small, and a whole-store temporary would raise the peak RSS.
+_JITTER_ROWS = 4096
 
 # Foreground blob radius as a fraction of the short frame side.
 _FG_RADIUS = 0.09
@@ -87,8 +94,7 @@ class LabeledScene:
     ground_truth: dict[int, int]
 
     def __post_init__(self):
-        ids = {t.id for t in self.store.trajectories}
-        if set(self.ground_truth) != ids:
+        if set(self.ground_truth) != set(self.store.ids.tolist()):
             raise ValueError("ground truth must label exactly the store's ids")
 
 
@@ -168,20 +174,12 @@ def generate_scene(params: SceneParams) -> LabeledScene:
         obj = _object_path(params, theta_cam, rng)
         fg_off = cam + obj
 
-    trajectories = []
-    ground_truth = {}
-
     xs = _sample_interval(
         cushion - cam[:, 0].min(), width - cushion - cam[:, 0].max(), params.n_bg, rng
     )
     ys = _sample_interval(
         cushion - cam[:, 1].min(), height - cushion - cam[:, 1].max(), params.n_bg, rng
     )
-    for i in range(params.n_bg):
-        pts = np.column_stack([xs[i] + cam[:, 0], ys[i] + cam[:, 1]])
-        trajectories.append(Trajectory(i, 0, pts))
-        ground_truth[i] = 0
-
     r_fg = _FG_RADIUS * min(width, height)
     pad = cushion + r_fg
     cx = _sample_interval(
@@ -192,15 +190,20 @@ def generate_scene(params: SceneParams) -> LabeledScene:
     )[0]
     radii = r_fg * np.sqrt(rng.uniform(0.0, 1.0, params.n_fg))
     angles = rng.uniform(0.0, 2.0 * np.pi, params.n_fg)
-    for j in range(params.n_fg):
-        tid = params.n_bg + j
-        px = cx + radii[j] * np.cos(angles[j])
-        py = cy + radii[j] * np.sin(angles[j])
-        pts = np.column_stack([px + fg_off[:, 0], py + fg_off[:, 1]])
-        trajectories.append(Trajectory(tid, 0, pts))
-        ground_truth[tid] = 1
 
-    store = TrajectoryStore(tuple(trajectories), params.n_frames, params.frame_size)
+    # Every track covers all frames: a start point plus the camera path,
+    # and for the foreground the object path too. Ids 0..n_bg-1 are the
+    # background, the rest the foreground.
+    n, frames = params.n_bg + params.n_fg, params.n_frames
+    x0 = np.concatenate((xs, cx + radii * np.cos(angles)))
+    y0 = np.concatenate((ys, cy + radii * np.sin(angles)))
+    points = np.empty((n, frames, 2))
+    points[: params.n_bg], points[params.n_bg :] = cam, fg_off
+    points += np.stack((x0, y0), axis=-1)[:, None]
+    ids, starts, bounds = np.arange(n), np.zeros(n, dtype=np.int64), np.arange(n + 1) * frames
+    columns = (ids, starts, bounds, points.reshape(-1, 2))
+    store = TrajectoryStore._of_columns(*columns, frames, params.frame_size)._checked()
+    ground_truth = dict.fromkeys(range(params.n_bg), 0) | dict.fromkeys(range(params.n_bg, n), 1)
     return LabeledScene(fuse_jitter(store, params.sigma, params.seed), ground_truth)
 
 
@@ -227,9 +230,11 @@ def fuse_jitter(store: TrajectoryStore, sigma: float, seed: int) -> TrajectorySt
 
     Each frame's rotation and scale act about the frame center, followed
     by a translation; all points of the frame receive the same transform.
-    Results are clipped to the frame bounds. ``sigma = 0`` returns the
-    input store unchanged. A sigma so large that some shaken point
-    overflows raises ``InvalidParameter``.
+    Results are clipped to the frame bounds; when the clip moves more
+    than ``MAX_CLIPPED_SHARE`` of the points, the scene is mostly frame
+    border and a ``DegenerateScene`` warning gives the count. ``sigma =
+    0`` returns the input store unchanged. A sigma so large that some
+    shaken point overflows raises ``InvalidParameter``.
     """
     if sigma < 0:
         raise InvalidParameter("sigma must be >= 0")
@@ -239,23 +244,27 @@ def fuse_jitter(store: TrajectoryStore, sigma: float, seed: int) -> TrajectorySt
     center = np.array([width / 2.0, height / 2.0])
     linear = np.empty((store.n_frames_total, 2, 2))
     shift = np.empty((store.n_frames_total, 2))
-    shaken = []
+    # The frame of every buffer row.
+    counts = np.diff(store.bounds)
+    frame = np.arange(len(store.points)) - np.repeat(store.bounds[:-1] - store.starts, counts)
+    shaken = np.empty_like(store.points)
+    clipped = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for f in range(store.n_frames_total):
             linear[f], shift[f] = _frame_similarity(seed, f, sigma, store.frame_size)
-        for t in store.trajectories:
-            frames = slice(t.start_frame, t.end_frame)
-            moved = (
-                np.einsum("fij,fj->fi", linear[frames], t.points - center)
-                + center
-                + shift[frames]
-            )
+        for lo in range(0, len(shaken), _JITTER_ROWS):
+            rows = slice(lo, lo + _JITTER_ROWS)
+            k, p = frame[rows], store.points[rows] - center
+            moved = np.einsum("fij,fj->fi", linear[k], p) + center + shift[k]
             if not np.isfinite(moved).all():
                 raise InvalidParameter(f"sigma={sigma:g} is too large: the jitter overflows")
-            moved[:, 0] = np.clip(moved[:, 0], 0.0, width)
-            moved[:, 1] = np.clip(moved[:, 1], 0.0, height)
-            shaken.append(Trajectory(t.id, t.start_frame, moved))
-    return TrajectoryStore(tuple(shaken), store.n_frames_total, store.frame_size)
+            np.clip(moved, 0.0, [width, height], out=shaken[rows])
+            clipped += np.count_nonzero((shaken[rows] != moved).any(axis=1))
+    if clipped > MAX_CLIPPED_SHARE * len(shaken):
+        message = f"sigma={sigma:g} clips {clipped} of {len(shaken)} points to the frame border"
+        warnings.warn(DegenerateScene(message))
+    columns = (store.ids, store.starts, store.bounds, shaken)
+    return TrajectoryStore._of_columns(*columns, store.n_frames_total, store.frame_size)._checked()
 
 
 def metrics_from_labels(predicted: dict[int, int], truth: dict[int, int]) -> Metrics:

@@ -1,15 +1,19 @@
-"""The columnar trajectory parser and the store's whole-store checks.
+"""The columnar trajectory store and its one check.
 
-``parse_trajectories`` checks each record's structure as it reads it, but
-finiteness and frame bounds once over one buffer of all points;
-``TrajectoryStore`` checks ids, end frames and bounds over all tracks at
-once. ``conftest`` keeps the former per-record parser and per-track store
-checks as oracles: on generated files with injected faults both must give
-the same store bit for bit, or the same error type and message.
+A ``TrajectoryStore`` keeps every point once, in one read-only (M, 2)
+buffer beside per-track id, start and row-bound columns, and one
+vectorized check (``first_fault``) covers ids, frame ranges, finiteness
+and frame bounds for both ways of building it. ``parse_trajectories``
+checks each record's structure as it reads it and leaves the rest to
+that check, mapping the offending track to its line. ``conftest`` keeps
+the former per-record parser and per-track store checks as oracles: on
+generated files with injected faults both must give the same store bit
+for bit, or the same error type and message.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from unittest import mock
 
@@ -18,14 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jitterseg.cli
 from jitterseg import (
+    SceneParams,
     Trajectory,
     TrajectoryStore,
+    generate_scene,
     parse_trajectories,
-    segmenter,
     serialize_trajectories,
 )
-from jitterseg.errors import BoundsError, InvalidTrajectory, JittersegError, ParseError
+from jitterseg.cli import run_cli
+from jitterseg.errors import BoundsError, JittersegError, ParseError
 
 from conftest import oracle_parse_trajectories, oracle_store_check
 
@@ -315,6 +322,8 @@ class TestParserOracle:
         store = parse_trajectories(path)
         a, b = store.trajectories
         assert a.points.base is not None and a.points.base is b.points.base
+        for points in (a.points, b.points, store.point_rows[0]):
+            assert np.shares_memory(points, store.points)
         assert not a.points.flags.writeable
         with pytest.raises(ValueError):
             a.points[0, 0] = 3.0
@@ -365,9 +374,9 @@ class TestStoreChecks:
         _stores,
         st.lists(st.sampled_from(["duplicate", "past_end", "below", "above"]), max_size=3),
         st.randoms(use_true_random=False),
-        st.sampled_from([1, 5, 17, segmenter._CHECK_ROWS]),
+        st.booleans(),
     )
-    def test_same_error_as_per_track_checks(self, store, faults, rnd, group_rows):
+    def test_same_error_as_per_track_checks(self, store, faults, rnd, by_columns):
         trajs = list(store.trajectories)
         frames, size = store.n_frames_total, store.frame_size
         for fault in faults:
@@ -391,8 +400,10 @@ class TestStoreChecks:
         except JittersegError as exc:
             want = exc
         try:
-            # Small groups split the bounds check over many concatenations.
-            with mock.patch.object(segmenter, "_CHECK_ROWS", group_rows):
+            if by_columns and trajs:
+                tracks = [(t.id, t.start_frame, t.points) for t in trajs]
+                TrajectoryStore._of_columns(*_columns(tracks), frames, size)._checked()
+            else:
                 TrajectoryStore(tuple(trajs), frames, size)
         except JittersegError as exc:
             assert want is not None and type(exc) is type(want) and str(exc) == str(want)
@@ -415,23 +426,104 @@ class TestStoreChecks:
         assert ends.tolist() == [2, 3, 4]
 
 
-class TestFromRows:
-    def test_rejects_what_the_constructor_rejects(self):
-        rows = np.array([[1.0, 1.0], [2.0, 2.0], [np.nan, 3.0], [4.0, 4.0]])
-        with pytest.raises(BoundsError, match="trajectory 8 "):
-            Trajectory.from_rows([7, 8], [0, 0], rows, [0, 2, 4])
-        with pytest.raises(InvalidTrajectory, match="at least 2"):
-            Trajectory.from_rows([7, 8], [0, 0], np.zeros((3, 2)), [0, 2, 3])
-        with pytest.raises(InvalidTrajectory, match="start_frame"):
-            Trajectory.from_rows([7], [-1], rows[:2], [0, 2])
-        with pytest.raises(InvalidTrajectory, match="bounds"):
-            Trajectory.from_rows([7], [0], rows[:2], [0, 3])
+def _columns(tracks):
+    """(id, start, points) tracks as the store's columns: ids, starts, row bounds, points."""
+    ids, starts, points = zip(*tracks)
+    return (
+        np.array(ids, dtype=np.int64),
+        np.array(starts, dtype=np.int64),
+        np.cumsum([0, *map(len, points)]),
+        np.concatenate(points),
+    )
+
+
+class TestColumns:
+    """The store over adopted columns, the path of the parser and of ``synth``."""
+
+    @pytest.mark.parametrize("fault", ["none", "duplicate", "past_end", "outside", "non_finite"])
+    def test_rejects_what_the_constructor_rejects(self, fault):
+        pts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        tracks = [[7, 0, pts], [8, 1, pts[:2]], [9, 0, pts]]
+        if fault == "duplicate":
+            tracks[2][0] = 8
+        elif fault == "past_end":
+            tracks[1][1] = 3
+        elif fault == "outside":
+            tracks[1][2] = pts[:2] + [0.0, 9.0]
+        elif fault == "non_finite":
+            tracks[1][2] = np.array([[1.0, 1.0], [np.nan, 2.0]])
+        want = got = None
+        try:
+            TrajectoryStore(tuple(Trajectory(*t) for t in tracks), 4, (10, 10))
+        except JittersegError as exc:
+            want = exc
+        try:
+            TrajectoryStore._of_columns(*_columns(tracks), 4, (10, 10))._checked()
+        except JittersegError as exc:
+            got = exc
+        assert type(got) is type(want) and str(got) == str(want)
+        assert (want is None) == (fault == "none")
 
     def test_views_without_copy(self):
         rows = np.arange(10.0).reshape(5, 2)
-        rows.flags.writeable = False
-        a, b = Trajectory.from_rows([1, 2], [0, 3], rows, [0, 3, 5])
+        ids, starts, bounds = np.array([2, 1]), np.array([3, 0]), np.array([0, 2, 5])
+        store = TrajectoryStore._of_columns(ids, starts, bounds, rows, 6, (10, 10))._checked()
+        assert store.points is rows and not rows.flags.writeable
+        b, a = store.trajectories
         assert np.shares_memory(a.points, rows) and np.shares_memory(b.points, rows)
+        assert not a.points.flags.writeable
         assert (a.id, a.start_frame, a.end_frame) == (1, 0, 3)
         assert (b.id, b.start_frame, b.end_frame) == (2, 3, 5)
-        assert np.array_equal(b.points, [[6.0, 7.0], [8.0, 9.0]])
+        assert np.array_equal(b.points, [[0.0, 1.0], [2.0, 3.0]])
+        assert store.by_id[1] is a
+        # Id order reads the buffer in place: only the first rows are reordered.
+        z, first = store.point_rows
+        assert np.shares_memory(z, rows) and first.tolist() == [2, 0]
+
+    def test_constructor_copies_into_one_buffer(self):
+        pts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        store = TrajectoryStore((Trajectory(4, 0, pts), Trajectory(3, 1, pts[:2])), 3, (10, 10))
+        assert not np.shares_memory(store.points, pts)
+        assert store.points.tolist() == [*pts.tolist(), *pts[:2].tolist()]
+        for t in store.trajectories:
+            assert np.shares_memory(t.points, store.points)
+
+
+def _live_trajectories() -> int:
+    gc.collect()  # so that garbage in reference cycles is not counted
+    return sum(type(o) is Trajectory for o in gc.get_objects())
+
+
+class TestOneCopy:
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_segment_builds_no_trajectory(self, tmp_path, shuffled):
+        scene = generate_scene(SceneParams(n_bg=30, n_fg=10, n_frames=30, sigma=0.1, seed=5))
+        path = tmp_path / "scene.jsonl"
+        serialize_trajectories(scene.store, path)
+        if shuffled:
+            header, *records = path.read_text().splitlines()
+            order = np.random.default_rng(0).permutation(len(records))
+            path.write_text("\n".join([header, *(records[k] for k in order)]) + "\n")
+        out = tmp_path / "labels.jsonl"
+        # Constructor calls are counted, and so are tracks made without the
+        # constructor that are alive once the labels are fused.
+        live = []
+
+        def segment_store(store, params):
+            result = jitterseg.cli.segment_store.__wrapped__(store, params)
+            live.append(_live_trajectories())
+            return result
+
+        segment_store.__wrapped__ = jitterseg.cli.segment_store
+        before = _live_trajectories()
+        counted = mock.patch.object(
+            Trajectory, "__post_init__", autospec=True, side_effect=Trajectory.__post_init__
+        )
+        with counted as built, mock.patch.object(jitterseg.cli, "segment_store", segment_store):
+            assert run_cli(["segment", "--input", str(path), "--output", str(out)]) == 0
+        assert built.call_count == 0 and live == [before]
+        # Both counts see the tracks once they are asked for.
+        with counted as built:
+            store = parse_trajectories(path)
+            store.trajectories
+        assert built.call_count == 40 and _live_trajectories() == before + 40

@@ -1,7 +1,10 @@
-"""Label files of fixed CLI runs, pinned by SHA-256.
+"""Label files of fixed CLI runs, and the trajectory files they read, pinned by SHA-256.
 
-A change that moves any byte of these files changes labels (or the
-params record) and must update the constants on purpose.
+A change that moves any byte of a label file changes labels (or the
+params record) and must update the constants on purpose. The trajectory
+files pin what ``generate_scene``, ``fuse_jitter``, the benchmark's
+``cut_tracks`` and ``serialize_trajectories`` write, so a change to the
+store they go through cannot move the inputs unseen.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ GOLDEN = {
     ),
 }
 
+# The trajectory file that ``synth`` writes for each GOLDEN scene.
+SCENE_DIGESTS = {
+    "readme": "6cd77211ca0ac97ee7d7cd4a5385be3858d7919d3140808e695fc5986414e84a",
+    "four_blocks": "6fca811998857c95076138b0b8832ad491fd746e75df520a7b6b432ca5a88eb8",
+}
+
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -40,6 +49,7 @@ def test_label_file_digest(tmp_path, name, jobs):
     synth_args, segment_args, digest = GOLDEN[name]
     scene, gt, labels = tmp_path / "scene.jsonl", tmp_path / "gt.jsonl", tmp_path / "labels.jsonl"
     assert run_cli(["synth", *synth_args, "--out", str(scene), "--gt", str(gt)]) == 0
+    assert hashlib.sha256(scene.read_bytes()).hexdigest() == SCENE_DIGESTS[name]
     argv = ["segment", "--input", str(scene), "--output", str(labels), *segment_args]
     assert run_cli([*argv, "--jobs", jobs]) == 0
     assert hashlib.sha256(labels.read_bytes()).hexdigest() == digest
@@ -58,11 +68,13 @@ PARTIAL_SCENE = SceneParams(
     seed=3001,
 )
 PARTIAL_DIGEST = "ab8528caa5f27eb9811ea14065436b1e55b63961de77a4a5c82e51d60e92aa49"
+PARTIAL_SCENE_DIGEST = "030189b3fe7f776ac89cc9454a8e69a519003b375c95d19d5f7e63c036c4b96e"
 
 
 def test_partial_tracks_digest(tmp_path):
     scene = cut_tracks(generate_scene(PARTIAL_SCENE), PARTIAL_SCENE.seed).scene
     path, labels = tmp_path / "scene.jsonl", tmp_path / "labels.jsonl"
     serialize_trajectories(scene.store, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PARTIAL_SCENE_DIGEST
     assert run_cli(["segment", "--input", str(path), "--output", str(labels)]) == 0
     assert hashlib.sha256(labels.read_bytes()).hexdigest() == PARTIAL_DIGEST

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jitterseg import (
@@ -34,6 +34,7 @@ from jitterseg.cli import _SEGMENT, _SYNTH, _params, run_cli
 from jitterseg.errors import (
     BlockSkipped,
     BoundsError,
+    DegenerateScene,
     DuplicateId,
     ParseError,
 )
@@ -442,6 +443,15 @@ class TestCli:
             f"jitterseg synth: invalid parameters: {name} must be finite\n"
         )
         assert not out.exists() and not gt.exists()
+
+    def test_jitter_that_clips_every_point_warns(self, tmp_path):
+        # Every point is shaken off the frame and clipped to its border;
+        # the scene is still written, with the count in the warning.
+        out, gt = tmp_path / "t.jsonl", tmp_path / "gt.jsonl"
+        base = ["synth", "--sigma", "5e3", "--n-bg", "20", "--n-fg", "8", "--frames", "12"]
+        with pytest.warns(DegenerateScene, match="clips 336 of 336 points"):
+            assert run_cli([*base, "--out", str(out), "--gt", str(gt)]) == 0
+        assert out.exists() and gt.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1041,14 +1051,32 @@ class TestParamsAgree:
 
     @settings(max_examples=6, deadline=None)
     @given(values=_synth_values)
+    @example(
+        values={
+            "sigma": 0.0,
+            "n-bg": 3,
+            "n-fg": 3,
+            "frames": 20,
+            "width": 400,
+            "height": 300,
+            "camera-speed": 0.0,
+            "object-speed": 0.5,
+            "seed": 0,
+        }
+    )
     def test_synth_flags_config_and_record(self, tmp_path_factory, values):
         tmp = tmp_path_factory.mktemp("synth")
         outputs = {}
         cfg = tmp / "cfg.json"
         cfg.write_text(json.dumps(values))
+        # A static camera without jitter is the one degenerate draw.
+        static = values["sigma"] == 0 and values["camera-speed"] == 0
         for how, extra in (("flags", _flags(values)), ("config", ["--config", str(cfg)])):
             out, gt = tmp / f"{how}.jsonl", tmp / f"{how}_gt.jsonl"
-            assert run_cli(["synth", "--out", str(out), "--gt", str(gt), *extra]) == 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli(["synth", "--out", str(out), "--gt", str(gt), *extra]) == 0
+            assert [type(w.message) for w in caught] == [DegenerateScene] * static
             outputs[how] = (out.read_bytes(), gt.read_bytes())
         assert outputs["flags"] == outputs["config"]
         record = parse_labels(tmp / "flags_gt.jsonl").params

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,26 @@ class TestFuseJitter:
         b = fuse_jitter(scene.store, 0.2, seed=4)
         for ta, tb in zip(a.trajectories, b.trajectories):
             assert np.array_equal(ta.points, tb.points)
+
+    @pytest.mark.parametrize("sigma, clipped", [(50.0, "290 of 336"), (5e3, "336 of 336")])
+    def test_clipping_most_points_warns(self, sigma, clipped):
+        params = SceneParams(n_bg=20, n_fg=8, n_frames=12, sigma=sigma)
+        with pytest.warns(DegenerateScene, match=f"clips {clipped} points"):
+            generate_scene(params)
+
+    @pytest.mark.parametrize(
+        "sigma, seeds",
+        [(10.0, [0]), (0.25, range(1000, 1020)), (1.0, range(5200, 5220))],
+        ids=["sigma-10", "clips-0.25", "heavy-1.0"],
+    )
+    def test_usual_jitter_does_not_warn(self, sigma, seeds):
+        # Sigma 10 clips 82 of 336 points. The clips recipe at its largest
+        # sigma and the heavy sigma 1.0 recipe clip almost none.
+        n_bg, n_fg, frames = (20, 8, 12) if sigma == 10.0 else (60, 20, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateScene)
+            for seed in seeds:
+                generate_scene(SceneParams(n_bg, n_fg, frames, sigma, seed=seed))
 
 
 class TestEvaluate:
