@@ -57,7 +57,7 @@ _SEGMENT = _from_params(
     _Option("span_threshold", "late-label coverage"),
     _Option("min_span_fraction", "spanning fraction per block"),
     _Option("grid", "representative grid resolution", field="grid_cells"),
-    _Option("max_block_len", "frame cap per block"),
+    _Option("max_block_len", "frame cap per block; up to 2 more to take in a 1- or 2-frame tail"),
     _Option("min_block_len", None),
     _Option("seed", "recorded; the cut has no seed, so labels ignore it"),
     _Option("jobs", "worker count; checked, but blocks always run on one thread", int, 1),

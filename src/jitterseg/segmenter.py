@@ -1,21 +1,26 @@
 """Sparse segmentation pipeline over a trajectory store.
 
 The frame range is tiled into blocks sized so that enough trajectories
-span each block entirely. Within a block, one spanning trajectory per
-occupied grid cell is chosen as a representative; the representatives
-are clustered once by their pairwise Procrustes affinity and each
-cluster is aligned to its GPA mean, after which trajectories that cover
-enough of the block are labeled by their nearest cluster mean. A block
-yields only these labels and the two means. Per-block labels are
-finally reconciled into one foreground/background labeling, passing
-over blocks that were skipped.
+span each block entirely; a remainder too short to have a shape joins
+the block before it when enough trajectories span that far. Within a
+block, one spanning trajectory per occupied grid cell is chosen as a
+representative; the representatives are clustered once by their
+pairwise Procrustes affinity and each cluster is aligned to its GPA
+mean, after which trajectories that cover enough of the block are
+labeled by their nearest cluster mean. A block yields only these
+labels and the two means. Per-block labels are finally reconciled into
+one foreground/background labeling, passing over blocks that were
+skipped.
 
 A ``TrajectoryStore`` keeps every point once, in one read-only (M, 2)
 buffer beside per-track id, first-frame and row-bound columns, and one
 vectorized check (``TrajectoryStore.first_fault``) validates them. Every
-stage reads these columns: the windows of many tracks are gathered from
-the buffer's complex view by index arithmetic, and no ``Trajectory`` is
-built between a parsed file and its labels.
+stage reads these columns through one gather, ``TrajectoryStore.windows``:
+the representatives, the stragglers and the first-frame boxes that
+orient the fusion are all rows of it, zero where a track does not cover
+a frame, beside their coverage mask, and ``shapes.preshape_rows``
+projects them over that mask. No ``Trajectory`` is built between a
+parsed file and its labels.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .errors import (
 from .shapes import (
     DEGENERACY_EPS,
     Trajectory,
-    _check_preshapes,
     as_complex,
     preshape_rows,
     procrustes_distance,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -65,12 +69,16 @@ _FRACTION_EPS = 1e-9
 _TIE_EPS = 1e-12
 
 # Candidate-frame cells per pass of straggler labeling: bounds the size of
-# its (3, rows, frames) complex temporaries on huge blocks.
+# its (2, rows, frames) complex temporaries on huge blocks.
 _STRAGGLER_CELLS = 2**14
 
 # A block needs more representatives than its two clusters: two would be
 # cut one apiece, whatever their shapes.
 MIN_REPRESENTATIVES = 3
+
+# Any two points have the same shape, so a block needs this many frames
+# before its representatives' shapes, not rounding, decide its split.
+MIN_SHAPE_FRAMES = 3
 
 # Upper bound of every count and size parameter and of ``--jobs``. Larger
 # values overflow numpy's integer and array-size arithmetic (a grid cell
@@ -93,9 +101,10 @@ class TrajectoryStore:
     (M, 2) float buffer, and ``ids``, ``starts`` and ``bounds`` give each
     track, in store order, its id, its first frame and its rows (track
     ``i`` owns ``points[bounds[i]:bounds[i + 1]]``). ``frame_spans`` and
-    ``point_rows`` read them in id order without copying a point;
-    ``trajectories`` and ``by_id`` are read-only ``Trajectory`` views of
-    the buffer, built when first used.
+    ``point_rows`` read them in id order without copying a point, and
+    ``windows`` is the one gather of many tracks' points over a frame
+    range; ``trajectories`` and ``by_id`` are read-only ``Trajectory``
+    views of the buffer, built when first used.
 
     ``TrajectoryStore(trajectories, n_frames_total, frame_size)`` copies
     the tracks' points into a new buffer; ``parse_trajectories`` and the
@@ -207,11 +216,26 @@ class TrajectoryStore:
         """All points as one complex vector, and each id-ordered track's first index.
 
         The vector is the buffer's complex view, tracks in store order.
-        The k-th track of ``frame_spans`` has its point at frame ``f`` at
-        ``rows[first[k] + f - starts[k]]``, so the windows of many tracks
-        are gathered by index arithmetic, with no Python step per track.
         """
         return as_complex(self.points), self.bounds[:-1][self._id_order]
+
+    def windows(self, k, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The id-ordered tracks ``k`` over frames [lo, hi), and where they cover them.
+
+        Returns a (len(k), hi - lo) complex stack, zero where a track does
+        not cover a frame, and its boolean coverage mask. ``k`` indexes
+        ``frame_spans``; the k-th track has its point at frame ``f`` at
+        ``rows[first[k] + f - starts[k]]`` of ``point_rows``, so the rows
+        are gathered by index arithmetic, with no Python step per track.
+        """
+        rows, first = self.point_rows
+        _, starts, ends = self.frame_spans
+        frames = np.arange(lo, hi)
+        mask = (frames >= starts[k, None]) & (frames < ends[k, None])
+        # An uncovered frame's index may fall outside the buffer; clipped,
+        # it reads some point that the mask then zeroes.
+        index = (first[k] - starts[k])[:, None] + frames
+        return np.where(mask, rows.take(index, mode="clip"), 0), mask
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -323,6 +347,10 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
     above ``min_span_fraction`` of the store and its length stays within
     ``max_block_len``. A trailing remainder shorter than ``min_block_len``
     becomes its own block; every block must satisfy the spanning rule.
+    A remainder shorter than ``MIN_SHAPE_FRAMES`` could never be
+    labeled, so the block before it runs on to the last frame instead
+    (up to two frames past ``max_block_len``) when the spanning rule
+    holds there; otherwise the remainder stays a block of its own.
     """
     total = len(store)
     if total == 0:
@@ -334,10 +362,13 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
     while s < store.n_frames_total:
         e_min = min(s + params.min_block_len, store.n_frames_total)
         e_max = min(s + params.max_block_len, store.n_frames_total)
+        candidates = np.arange(e_min, e_max + 1)
+        if 0 < store.n_frames_total - e_max < MIN_SHAPE_FRAMES:
+            candidates = np.append(candidates, store.n_frames_total)
         # Spanning counts of [s, e) for every candidate end e: the tracks
         # alive at s whose end is at least e.
         alive_ends = np.sort(ends[starts <= s])
-        spanning = alive_ends.size - np.searchsorted(alive_ends, np.arange(e_min, e_max + 1))
+        spanning = alive_ends.size - np.searchsorted(alive_ends, candidates)
         valid = spanning >= need
         if not valid[0]:
             raise NoValidBlock(
@@ -345,22 +376,11 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
                 f"the minimum-length block at frame {s}"
             )
         # The count never grows with e, so the valid ends are a prefix.
-        e = e_min + int(np.count_nonzero(valid)) - 1
+        e = int(candidates[np.count_nonzero(valid) - 1])
         spanning_ids = ids[(starts <= s) & (ends >= e)]
         blocks.append(Block(s, e, tuple(spanning_ids.tolist())))
         s = e
     return blocks
-
-
-def _windows(store: TrajectoryStore, ids, lo: int, hi: int) -> np.ndarray:
-    """(len(ids), N) complex stack of the trajectories' points over [lo, hi).
-
-    Every one of the trajectories must cover [lo, hi).
-    """
-    rows, first = store.point_rows
-    span_ids, starts, _ = store.frame_spans
-    k = np.searchsorted(span_ids, ids)
-    return rows[(first[k] - starts[k] + lo)[:, None] + np.arange(hi - lo)]
 
 
 def select_representatives(
@@ -372,19 +392,20 @@ def select_representatives(
     the cell center wins; distance ties go to the lowest id. A trajectory
     that does not move over the block (centered norm below
     ``DEGENERACY_EPS``) has no shape and is never chosen; its cell goes to
-    the next-nearest one. A block of one or two frames has no
-    representatives: any two points have the same shape, so rounding
+    the next-nearest one. A block shorter than ``MIN_SHAPE_FRAMES`` has
+    no representatives: any two points have the same shape, so rounding
     would decide the split. Ids are returned in ascending order; fewer
     than ``MIN_REPRESENTATIVES`` raise ``TooFewRepresentatives``.
     """
     ids = np.array(block.spanning_ids, dtype=np.int64)
     reps: list[int] = []
-    if ids.size and block.length >= 3:
+    if ids.size and block.length >= MIN_SHAPE_FRAMES:
         width, height = store.frame_size
         g = params.grid_cells
         cell_w = width / g
         cell_h = height / g
-        z = _windows(store, block.spanning_ids, block.start, block.end)
+        k = np.searchsorted(store.frame_spans[0], ids)
+        z = store.windows(k, block.start, block.end)[0]
         moving = preshape_rows(z)[1] >= DEGENERACY_EPS
         x, y = z[moving, 0].real, z[moving, 0].imag
         cx = np.minimum((x // cell_w).astype(np.int64), g - 1)
@@ -412,7 +433,8 @@ def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams)
     The representatives are one (K, N) complex pre-shape stack.
     """
     reps = select_representatives(store, block, params)
-    z = project_rows(_windows(store, reps, block.start, block.end))
+    k = np.searchsorted(store.frame_spans[0], reps)
+    z = project_rows(store.windows(k, block.start, block.end)[0])
     assignment = spectral_cluster(build_affinity(z, params.omega))
     means = tuple(gpa_align(z, assignment.members(c)).mean for c in (0, 1))
     result = BlockResult(block, dict(zip(reps, assignment.labels)), means)
@@ -436,31 +458,25 @@ def assign_stragglers(
     all of them when every cropped mean is motionless.
 
     All candidates are labeled together (``_nearest_means``), in passes
-    of at most ``_STRAGGLER_CELLS`` candidate frames: each is a row over
-    the block's frames, zero outside its overlap window, gathered from
-    the store's one point vector by index arithmetic.
+    of at most ``_STRAGGLER_CELLS`` candidate frames: each is its
+    ``TrajectoryStore.windows`` row over the block's frames, zero outside
+    its overlap window, beside that window as a mask.
     """
     labels = dict(result.labels)
     if not result.means:
         return labels
     ids, starts, ends = store.frame_spans
-    lo = np.maximum(block.start, starts)
-    hi = np.minimum(block.end, ends)
-    width = hi - lo
+    width = np.minimum(block.end, ends) - np.maximum(block.start, starts)
     candidate = np.flatnonzero(
         (width >= 2)
         & (width / block.length >= params.span_threshold - _FRACTION_EPS)
         & ~np.isin(ids, np.fromiter(labels, dtype=np.int64, count=len(labels)))
     )
     means = as_complex(np.array(result.means))
-    rows, first = store.point_rows
-    frames = np.arange(block.start, block.end)
     step = max(1, _STRAGGLER_CELLS // block.length)
     for c0 in range(0, candidate.size, step):
         k = candidate[c0 : c0 + step]
-        window = (frames >= lo[k, None]) & (frames < hi[k, None])
-        index = np.where(window, first[k, None] - starts[k, None] + frames, 0)
-        tracks = np.where(window, rows[index], 0)
+        tracks, window = store.windows(k, block.start, block.end)
         for tid, lab in zip(ids[k].tolist(), _nearest_means(tracks, window, means).tolist()):
             if lab >= 0:
                 labels[tid] = lab
@@ -470,34 +486,23 @@ def assign_stragglers(
 def _nearest_means(tracks: np.ndarray, window: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Per track, the index of the nearest mean over the track's window, or -1.
 
-    ``tracks`` is a (C, L) complex stack, zero outside the (C, L) mask
-    ``window``; ``means`` is (M, L). Each mean is cropped to each track's
-    window, giving an (M, C, L) stack beside the tracks. Every row is
-    centered twice and scaled to unit norm with sums over its window, as
-    ``preshape_rows`` does, and a row whose centered norm is below
-    ``DEGENERACY_EPS`` has no shape. The distance is the literal
-    residual ``||t - u m||`` of ``procrustes_residuals``, ``u`` the unit
-    phase of ``<m, t>`` that rotates the mean onto the track. A mean
-    within ``_TIE_EPS`` of the nearest counts as a tie, which the lower
-    index wins. A motionless track, or one whose cropped means are all
-    motionless, gets -1.
+    ``tracks`` is a (C, L) complex stack over the (C, L) mask ``window``;
+    ``means`` is (M, L). ``preshape_rows`` projects the tracks over their
+    windows, and the means broadcast over the same windows, which crops
+    every mean to every track's window as an (M, C, L) stack. The
+    distance is the literal residual ``||t - u m||`` of
+    ``procrustes_residuals``, ``u`` the unit phase of ``<m, t>`` that
+    rotates the mean onto the track. A mean within ``_TIE_EPS`` of the
+    nearest counts as a tie, which the lower index wins. A motionless
+    track, or one whose cropped means are all motionless, gets -1.
     """
-    n = np.count_nonzero(window, axis=1)[:, None]
-    z = np.concatenate((tracks[None], np.where(window, means[:, None, :], 0)))
-    # A second pass removes what the rounded mean leaves behind.
-    for _ in range(2):
-        z = np.where(window, z - z.sum(axis=-1, keepdims=True) / n, 0)
-    flat = z.view(float)
-    norms = np.sqrt(np.einsum("...i,...i->...", flat, flat))
-    ok = norms >= DEGENERACY_EPS
-    pre = (flat / np.where(ok, norms, np.inf)[..., None]).view(complex)
-    _check_preshapes(pre[ok])
-    t, m = pre[0], pre[1:]
+    t, t_norms = preshape_rows(tracks, window)
+    m, m_norms = preshape_rows(means[:, None, :], window)
     dist = procrustes_residuals(t, m, unit_phase(np.einsum("cl,kcl->kc", t, m.conj())))
-    dist[~ok[1:]] = np.inf
+    dist[m_norms < DEGENERACY_EPS] = np.inf
     d_min = dist.min(axis=0)
     nearest = np.argmax(dist < d_min + _TIE_EPS, axis=0)
-    return np.where(ok[0] & np.isfinite(d_min), nearest, -1)
+    return np.where((t_norms >= DEGENERACY_EPS) & np.isfinite(d_min), nearest, -1)
 
 
 def _foreground_flip(result: BlockResult, store: TrajectoryStore) -> bool:
@@ -509,13 +514,10 @@ def _foreground_flip(result: BlockResult, store: TrajectoryStore) -> bool:
     infinite box.
     """
     frame, n = result.block.start, len(result.labels)
-    ids, starts, ends = store.frame_spans
-    rows, first = store.point_rows
-    k = np.searchsorted(ids, np.fromiter(result.labels, dtype=np.int64, count=n))
+    k = np.searchsorted(store.frame_spans[0], np.fromiter(result.labels, dtype=np.int64, count=n))
     labels = np.fromiter(result.labels.values(), dtype=np.int64, count=n)
-    alive = (starts[k] <= frame) & (frame < ends[k])
-    z = rows[first[k[alive]] + frame - starts[k[alive]]]
-    pts = [z[labels[alive] == c] for c in (0, 1)]
+    z, alive = store.windows(k, frame, frame + 1)
+    pts = [z[alive[:, 0] & (labels == c), 0] for c in (0, 1)]
     area = [np.ptp(p.real) * np.ptp(p.imag) if p.size else np.inf for p in pts]
     return bool(area[0] < area[1])
 

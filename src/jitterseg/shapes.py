@@ -15,7 +15,10 @@ the inner product sum(conj(b) * a). No SVD is needed.
 
 Each shape operation has one implementation, on (K, N) complex stacks,
 and the single-shape API is a thin layer over it. ``preshape_rows`` is
-the one projection: ``project_to_preshape`` runs it on a one-row stack.
+the one projection: ``project_to_preshape`` runs it on a one-row stack,
+the block's representatives on their (K, N) stack, and the straggler
+labels on a stack of rows that each cover only part of the block, with
+a mask that confines each row's sums to the frames it covers.
 ``procrustes_residuals`` is the one literal residual: the straggler
 labels and ``procrustes_distance`` take their Procrustes distances from
 it, and so does the affinity for the few pairs near d = 0, where the
@@ -191,26 +194,39 @@ def stack_preshapes(shapes) -> np.ndarray:
     return as_complex(np.array([s.config for s in shapes]))
 
 
-def preshape_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every row of a (K, N) complex stack re-centered and scaled to unit norm.
+def preshape_rows(z: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of a (..., N) complex stack re-centered and scaled to unit norm.
 
-    Returns the pre-shapes and the centered norms. A row whose centered
-    norm is below ``DEGENERACY_EPS`` has no shape: it comes back as zeros
-    and the caller decides whether to skip it or raise. The other rows
-    are checked for centering and unit norm by ``PreShape``'s own check.
+    ``mask``, a boolean array over the N frames that broadcasts against
+    ``z`` (every frame when None), marks the frames each row covers. A
+    row is centered and normalized with sums over its covered frames
+    only, and is zero outside them; its values there are ignored. So a
+    window of a longer row projects as the window alone would, up to the
+    order of the sums. Returns the pre-shapes and the centered norms. A row
+    whose centered norm is below ``DEGENERACY_EPS`` (fewer than two
+    covered frames, or all of them at one point) has no shape: it comes
+    back as zeros and the caller decides whether to skip it or raise.
+    The other rows are checked for centering and unit norm by
+    ``PreShape``'s own check.
     """
-    if z.ndim != 2 or z.shape[1] < 2:
+    if z.ndim < 2 or z.shape[-1] < 2:
         raise InvalidPreShape(f"need a (K, N) stack with N >= 2, got {z.shape}")
+    n = z.shape[-1] if mask is None else np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+    centered = z if mask is None else np.where(mask, z, 0)
+    # A second pass removes what the rounded mean leaves behind, which the
+    # division would blow up for a (nearly) motionless track. Uncovered
+    # frames are zeroed after each pass, so they add nothing to the sums.
+    for _ in range(2):
+        centered = centered - centered.sum(axis=-1, keepdims=True) / n
+        if mask is not None:
+            np.copyto(centered, 0, where=~mask)
     # Work on the rows' interleaved (x0, y0, x1, y1, ...) float view: the
     # norm is a plain dot product and the division a real one, as in the
     # (N, 2) form (a complex division would multiply by 1/norm instead).
-    centered = z - z.mean(axis=1, keepdims=True)
-    # A second pass removes what the rounded mean leaves behind, which the
-    # division would blow up for a (nearly) motionless track.
-    flat = (centered - centered.mean(axis=1, keepdims=True)).view(float)
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    flat = centered.view(float)
+    norms = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     ok = norms >= DEGENERACY_EPS
-    pre = (flat / np.where(ok, norms, np.inf)[:, None]).view(complex)
+    pre = (flat / np.where(ok, norms, np.inf)[..., None]).view(complex)
     _check_preshapes(pre[ok])
     return pre, norms
 

@@ -507,3 +507,23 @@ def oracle_store_check(trajectories, n_frames_total: int, frame_size) -> None:
         x, y = t.points[:, 0], t.points[:, 1]
         if x.min() < 0 or x.max() > width or y.min() < 0 or y.max() > height:
             raise BoundsError(f"trajectory {t.id} leaves the frame bounds")
+
+
+def oracle_windows(store, k, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``TrajectoryStore.windows`` one track and one frame at a time.
+
+    Row ``r`` holds the ``k[r]``-th track in id order over frames
+    [lo, hi) as x + iy, zero where the track does not cover a frame, and
+    the mask says which frames it covers.
+    """
+    tracks = sorted(store.trajectories, key=lambda t: t.id)
+    z = np.zeros((len(k), hi - lo), dtype=complex)
+    mask = np.zeros((len(k), hi - lo), dtype=bool)
+    for row, i in enumerate(k):
+        t = tracks[i]
+        for f in range(lo, hi):
+            if t.start_frame <= f < t.end_frame:
+                x, y = t.points[f - t.start_frame]
+                z[row, f - lo] = complex(x, y)
+                mask[row, f - lo] = True
+    return z, mask

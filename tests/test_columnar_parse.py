@@ -34,7 +34,7 @@ from jitterseg import (
 from jitterseg.cli import run_cli
 from jitterseg.errors import BoundsError, JittersegError, ParseError
 
-from conftest import oracle_parse_trajectories, oracle_store_check
+from conftest import oracle_parse_trajectories, oracle_store_check, oracle_windows
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -424,6 +424,62 @@ class TestStoreChecks:
         assert ids.tolist() == [-3, 4, 9]
         assert starts.tolist() == [0, 0, 1]
         assert ends.tolist() == [2, 3, 4]
+
+
+@st.composite
+def _window_cases(draw):
+    """A store of partial tracks in shuffled order, some of its tracks and a frame window.
+
+    Ids run from negative values to beyond 2^32; a point may be -0.0.
+    The tracks may repeat and come in any order, and the window may lie
+    inside a track, across its ends or outside it.
+    """
+    frames = draw(st.integers(2, 40))
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=12, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trajs = []
+    for tid in ids:
+        start = int(rng.integers(0, frames - 1))
+        length = int(rng.integers(2, frames - start + 1))
+        pts = rng.uniform(0.0, 100.0, (length, 2))
+        pts[rng.random((length, 2)) < 0.1] = -0.0
+        trajs.append(Trajectory(tid, start, pts))
+    store = TrajectoryStore(tuple(trajs), frames, (100, 100))
+    k = draw(st.lists(st.integers(0, len(ids) - 1), max_size=8))
+    lo = draw(st.integers(0, frames - 1))
+    hi = draw(st.integers(lo + 1, frames))
+    return store, np.array(k, dtype=np.int64), lo, hi
+
+
+class TestWindows:
+    """``TrajectoryStore.windows`` is the per-track, per-frame gather."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_window_cases())
+    def test_matches_the_per_track_loop(self, case):
+        store, k, lo, hi = case
+        z, mask = store.windows(k, lo, hi)
+        want_z, want_mask = oracle_windows(store, k, lo, hi)
+        assert z.dtype == complex and mask.dtype == bool
+        assert z.shape == mask.shape == (k.size, hi - lo)
+        assert z.tobytes() == want_z.tobytes()
+        assert np.array_equal(mask, want_mask)
+
+    def test_parsed_store_in_file_order(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"frames": 6, "width": 10, "height": 10}\n'
+            + _rec(2**33, [[1, 2], [3, 4], [5, 6]], start=3)
+            + "\n"
+            + _rec(-7, [[0, 0], [1, 1]], start=1)
+            + "\n"
+        )
+        z, mask = parse_trajectories(path).windows(np.array([1, 0]), 1, 6)
+        assert mask.tolist() == [
+            [False, False, True, True, True],
+            [True, True, False, False, False],
+        ]
+        assert z.tolist() == [[0, 0, 1 + 2j, 3 + 4j, 5 + 6j], [0, 1 + 1j, 0, 0, 0]]
 
 
 def _columns(tracks):

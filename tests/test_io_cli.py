@@ -949,10 +949,20 @@ class TestSkippedBlock:
         assert set(data.blocks[0][1]) == set(data.fused) == set(scene.ground_truth)
 
     def test_one_frame_trailing_block_is_left_unlabeled(self, tmp_path):
+        # All but three of the 80 tracks end at frame 29, too few span
+        # [0, 30) for the first block to take in the last frame, and six
+        # tracks over frames 28 and 29 make [29, 30) a block of its own.
         traj, labels = tmp_path / "t.jsonl", tmp_path / "labels.jsonl"
         scene = generate_scene(SceneParams(n_bg=60, n_fg=20, n_frames=30, sigma=0.15, seed=7))
-        serialize_trajectories(scene.store, traj)
-        argv = ["segment", "--input", str(traj), "--output", str(labels), "--max-block-len", "29"]
+        cut = [
+            t if t.id < 3 else Trajectory(t.id, 0, t.points[:29]) for t in scene.store.trajectories
+        ]
+        late = [
+            Trajectory(200 + i, 28, [[100.0 + 50 * i, 50.0], [101.0 + 50 * i, 51.0]])
+            for i in range(6)
+        ]
+        serialize_trajectories(TrajectoryStore((*cut, *late), 30, scene.store.frame_size), traj)
+        argv = ["segment", "--input", str(traj), "--output", str(labels)]
         skipped = r"block \(29, 30\) left unlabeled: 0 representatives"
         with pytest.warns(BlockSkipped, match=skipped):
             assert run_cli(argv) == 0
@@ -970,6 +980,35 @@ class TestSkippedBlock:
             "1 representatives in block (0, 30), need at least 3\n"
         )
         assert not out.exists()
+
+
+class TestShortTail:
+    """A remainder of one or two frames joins the block before it."""
+
+    @staticmethod
+    def _segment(tmp_path, frames, *flags):
+        traj, labels = tmp_path / "t.jsonl", tmp_path / "labels.jsonl"
+        synth = ["synth", "--sigma", "0.1", "--n-bg", "30", "--n-fg", "10", "--frames", str(frames)]
+        synth += ["--seed", "5", "--out", str(traj), "--gt", str(tmp_path / "gt.jsonl")]
+        assert run_cli(synth) == 0
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run_cli(["segment", "--input", str(traj), "--output", str(labels), *flags]) == 0
+        assert [str(w.message) for w in record] == []
+        return parse_labels(labels)
+
+    @pytest.mark.parametrize("cap", ["29", "28"])
+    def test_cap_short_of_the_scene_gives_one_block(self, tmp_path, cap):
+        data = self._segment(tmp_path, 30, "--max-block-len", cap)
+        assert [rng for rng, _ in data.blocks] == [(0, 30)]
+        assert set(data.blocks[0][1]) == set(data.fused) and len(data.fused) == 40
+
+    @pytest.mark.parametrize("frames", [61, 62])
+    def test_default_cap_leaves_no_short_tail(self, tmp_path, frames):
+        data = self._segment(tmp_path, frames)
+        ranges = [rng for rng, _ in data.blocks]
+        assert ranges == [(0, frames)]
+        assert len(data.fused) == 40
 
 
 # Flag (dashes) -> params field, for every flag that sets a params field.

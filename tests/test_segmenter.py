@@ -63,22 +63,28 @@ def _staggered_store(rng, n=50, n_frames=80):
 
 
 def _oracle_partition(store, params):
-    """Exhaustive re-derivation of the greedy maximal valid blocks."""
+    """Exhaustive re-derivation of the greedy maximal valid blocks.
+
+    A block that would leave a remainder of one or two frames runs on to
+    the last frame instead, whenever enough tracks span that far.
+    """
     total = len(store.trajectories)
+    n_frames = store.n_frames_total
     need = params.min_span_fraction * total - 1e-9
+
+    def spans(s, e):
+        return sum(1 for t in store.trajectories if t.start_frame <= s and t.end_frame >= e)
+
     bounds = []
     s = 0
-    while s < store.n_frames_total:
-        e_min = min(s + params.min_block_len, store.n_frames_total)
-        e_max = min(s + params.max_block_len, store.n_frames_total)
-        valid = [
-            e
-            for e in range(e_min, e_max + 1)
-            if sum(1 for t in store.trajectories if t.start_frame <= s and t.end_frame >= e)
-            >= need
-        ]
+    while s < n_frames:
+        e_min = min(s + params.min_block_len, n_frames)
+        e_max = min(s + params.max_block_len, n_frames)
+        valid = [e for e in range(e_min, e_max + 1) if spans(s, e) >= need]
         assert valid, "oracle found no valid block where the implementation must fail"
         e = max(valid)
+        if 0 < n_frames - e < 3 and spans(s, n_frames) >= need:
+            e = n_frames
         bounds.append((s, e))
         s = e
     return bounds
@@ -113,6 +119,26 @@ class TestPartitionBlocks:
             except NoValidBlock:
                 continue
             assert [(b.start, b.end) for b in blocks] == _oracle_partition(store, params)
+
+    @pytest.mark.parametrize(
+        "frames, ranges",
+        [(60, [(0, 60)]), (61, [(0, 61)]), (62, [(0, 62)]), (63, [(0, 60), (60, 63)])],
+    )
+    def test_short_tail_joins_the_block_before(self, frames, ranges):
+        trajs = tuple(_track(i, 0, frames, 50 + 10 * i, vx=0.5) for i in range(10))
+        store = TrajectoryStore(trajs, frames, FRAME)
+        blocks = partition_blocks(store, SegmenterParams())
+        assert [b.frame_range for b in blocks] == ranges
+        assert [b.spanning_ids for b in blocks] == [tuple(range(10))] * len(ranges)
+
+    def test_short_tail_stays_when_too_few_span_it(self):
+        # Only 1 of 20 tracks reaches frame 62, below the 10% rule, so the
+        # last two frames stay a block of their own.
+        trajs = [_track(i, 0, 60, 50 + 10 * i) for i in range(18)]
+        trajs += [_track(18, 0, 62, 300.0), _track(19, 58, 4, 320.0)]
+        store = TrajectoryStore(tuple(trajs), 62, FRAME)
+        blocks = partition_blocks(store, SegmenterParams())
+        assert [b.frame_range for b in blocks] == [(0, 60), (60, 62)]
 
     def test_tiling_invariant(self):
         rng = np.random.default_rng(1)
@@ -442,11 +468,19 @@ class TestFuseBlocks:
         assert set(fused) == set(range(8))
 
     def test_skipped_trailing_block_breaks_no_chain(self):
-        # Blocks [0, 20), [20, 40) and a 2-frame [40, 42), which is skipped.
-        scene = generate_scene(SceneParams(60, 20, 42, 0.15, seed=1))
-        with pytest.warns(BlockSkipped) as record:
-            segment_store(scene.store, SegmenterParams(max_block_len=20))
+        # Blocks [0, 20), [20, 40) and [40, 50). Every track stands still
+        # over the last one, so it has no representative and is skipped.
+        scene = generate_scene(SceneParams(60, 20, 50, 0.15, seed=1))
+        trajs = []
+        for t in scene.store.trajectories:
+            pts = t.points.copy()
+            pts[40 - t.start_frame :] = pts[39 - t.start_frame]
+            trajs.append(Trajectory(t.id, t.start_frame, pts))
+        store = TrajectoryStore(tuple(trajs), 50, FRAME)
+        with pytest.warns(BlockSkipped, match=r"0 representatives in block \(40, 50\)") as record:
+            results, _ = segment_store(store, SegmenterParams(max_block_len=20))
         assert [w.category for w in record] == [BlockSkipped]
+        assert [bool(r.labels) for r in results] == [True, True, False]
 
     def test_votes_pass_over_a_skipped_middle_block(self):
         # Every track stands still over frames [20, 40), so that block has

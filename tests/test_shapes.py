@@ -154,6 +154,44 @@ class TestOneShapeCore:
         assert procrustes_distance(a, b) == want[0, 0]
 
 
+class TestMaskedProjection:
+    """``preshape_rows(z, mask)`` projects each row over its covered frames."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 60), st.integers(1, 6), st.data())
+    def test_all_true_mask_is_the_default(self, n, k, data):
+        z = as_complex(np.array([data.draw(configurations(n)) for _ in range(k)]))
+        pre, norms = preshape_rows(z)
+        for mask in (np.ones(z.shape, dtype=bool), np.ones(n, dtype=bool)):
+            masked, masked_norms = preshape_rows(z, mask)
+            assert masked.tobytes() == pre.tobytes()
+            assert masked_norms.tobytes() == norms.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(configurations(), st.data())
+    def test_masked_row_is_its_compacted_frames(self, cfg, data):
+        n = cfg.shape[0]
+        masks = st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda m: sum(m) >= 2)
+        covered = data.draw(masks)
+        mask = np.array(covered)
+        # Points outside the mask must not count: fill them with other values.
+        z = as_complex(cfg).copy()
+        z[~mask] = 1e4 * (1 + 1j)
+        masked, masked_norms = preshape_rows(z[None], mask[None])
+        compact, compact_norms = preshape_rows(as_complex(cfg[mask])[None])
+        assert not masked[0, ~mask].any()
+        assert (masked_norms[0] < DEGENERACY_EPS) == (compact_norms[0] < DEGENERACY_EPS)
+        np.testing.assert_allclose(masked_norms, compact_norms, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(masked[0, mask], compact[0], rtol=0, atol=1e-15)
+
+    def test_rows_of_one_or_no_covered_frame_have_no_shape(self):
+        z = as_complex(np.array([[[3.0, 4.0], [5.0, 6.0], [7.0, 9.0]]] * 3))
+        mask = np.array([[True, False, False], [False, False, False], [True, False, True]])
+        pre, norms = preshape_rows(z, mask)
+        assert norms[:2].tolist() == [0.0, 0.0] and not pre[:2].any()
+        assert norms[2] > 0 and pre[2, 1] == 0
+
+
 class TestOptimalRotation:
     def test_self_alignment_is_identity(self):
         rng = np.random.default_rng(6)

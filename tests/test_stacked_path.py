@@ -289,20 +289,31 @@ class TestSegmentBlockOracle:
 
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_two_frame_trailing_block(self, rounds):
-        # Blocks [0, 20), [20, 40) and [40, 42). Any two points have one
-        # shape, so the last block is skipped rather than split by rounding;
-        # fusion passes over it, so no block boundary lacks shared tracks.
+        # Blocks [0, 20), [20, 40) and [40, 42): all but two of the 28
+        # tracks end at frame 40, too few span [20, 42) for that block to
+        # take in the last two frames, and four tracks born at frame 40
+        # make [40, 42) a block. Any two points have one shape, so it is
+        # skipped rather than split by rounding; fusion passes over it,
+        # so no block boundary lacks shared tracks.
         scene = generate_scene(SceneParams(n_bg=20, n_fg=8, n_frames=42, sigma=0.15, seed=2))
+        trajs = [
+            t if t.id < 2 else Trajectory(t.id, 0, t.points[:40]) for t in scene.store.trajectories
+        ]
+        born = [
+            Trajectory(100 + i, 40, [[200.0 + 40 * i, 100.0], [201.0 + 40 * i, 100.5]])
+            for i in range(4)
+        ]
+        store = TrajectoryStore((*trajs, *born), 42, FRAME)
         params = SegmenterParams(max_block_len=20, seed=2)
-        blocks = partition_blocks(scene.store, params)
+        blocks = partition_blocks(store, params)
         assert [b.frame_range for b in blocks] == [(0, 20), (20, 40), (40, 42)]
         with pytest.warns(BlockSkipped, match=r"0 representatives in block \(40, 42\)") as record:
-            results, _ = segment_store(scene.store, params)
+            results, _ = segment_store(store, params)
         assert [w.category for w in record] == [BlockSkipped]
         assert [bool(r.labels) for r in results] == [True, True, False]
         with pytest.raises(TooFewRepresentatives):
-            oracle_segment_block(scene.store, blocks[2], params, rounds=rounds, jacobi_iters=5)
-        _assert_same_fused(scene.store, params, rounds, 5)
+            oracle_segment_block(store, blocks[2], params, rounds=rounds, jacobi_iters=5)
+        _assert_same_fused(store, params, rounds, 5)
 
 
 def test_traced_names_are_called(monkeypatch):
