@@ -16,10 +16,13 @@ from .synth import SceneParams, generate_scene, metrics_from_labels
 
 
 class _Option(typing.NamedTuple):
-    """One option of a subcommand: flag ``--key`` (dashes) and config key ``key``."""
+    """One option of a subcommand: flag ``--key`` (dashes) and config key ``key``.
+
+    Every option is both, and ``help`` is its flag's help text.
+    """
 
     key: str
-    help: str | None  # None: a params field kept in the params record, with no flag
+    help: str
     type: type = str
     default: object = None  # None: the option is required
     field: str | None = None  # the params field it sets, when not ``key`` itself
@@ -48,6 +51,8 @@ def _from_params(cls, *options: _Option) -> tuple[_Option, ...]:
 
 # One table per subcommand, in flag order. The params record embedded in
 # the output lists the options that set a params field in the same order.
+# Every params field has an option, and every option a flag: a setting
+# that no flag or config key reaches is a constant of its module.
 _SEGMENT = _from_params(
     SegmenterParams,
     _Option("input", "trajectory file to segment"),
@@ -58,7 +63,6 @@ _SEGMENT = _from_params(
     _Option("min_span_fraction", "spanning fraction per block"),
     _Option("grid", "representative grid resolution", field="grid_cells"),
     _Option("max_block_len", "frame cap per block; up to 2 more to take in a 1- or 2-frame tail"),
-    _Option("min_block_len", None),
     _Option("seed", "recorded; the cut has no seed, so labels ignore it"),
     _Option("jobs", "worker count; checked, but blocks always run on one thread", int, 1),
 )
@@ -98,7 +102,6 @@ def _coerce(opt: _Option, value):
 
 def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
     """Apply config-file values under the flags, then the defaults."""
-    flags = [opt for opt in options if opt.help is not None]
     config = {}
     if args.get("config"):
         try:
@@ -116,10 +119,10 @@ def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
             if option in config:
                 _PARSER.error(f"config names option '{option}' twice")
             config[option] = value
-        if unknown := set(config) - {opt.key for opt in flags}:
+        if unknown := set(config) - {opt.key for opt in options}:
             _PARSER.error(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for opt in flags:
+    for opt in options:
         if args.get(opt.key) is not None:
             merged[opt.key] = args[opt.key]
         elif opt.key in config:
@@ -135,7 +138,7 @@ def _params(cls, options: tuple[_Option, ...], values: dict):
     """Build ``cls`` from merged options or a params record, keyed by option key."""
     kwargs: dict = {}
     for opt in options:
-        if opt.field is not None and opt.help is not None:
+        if opt.field is not None:
             value = values[opt.key]
             if opt.element is not None:  # tuple elements come in order
                 value = (*kwargs.get(opt.field, ()), value)
@@ -212,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (summary, options, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
         cmd.add_argument("--config", help="JSON config with the same keys as the flags")
-        for opt in (opt for opt in options if opt.help is not None):
+        for opt in options:
             text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
             cmd.add_argument("--" + opt.key.replace("_", "-"), type=opt.type, help=text)
     return parser
@@ -235,12 +238,16 @@ def run_cli(argv) -> int:
         for stage in run(opts):
             pass
     except (JittersegError, OSError) as exc:
-        if stage is None:
-            print(f"jitterseg {command}: invalid parameters: {exc}", file=sys.stderr)
-            return 2
-        print(f"jitterseg {command}: {stage} stage failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        error = str(exc)
+    except MemoryError as exc:  # numpy's names the allocation; Python's own has no text
+        error = str(exc) or "not enough memory"
+    else:
+        return 0
+    if stage is None:
+        print(f"jitterseg {command}: invalid parameters: {error}", file=sys.stderr)
+        return 2
+    print(f"jitterseg {command}: {stage} stage failed: {error}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

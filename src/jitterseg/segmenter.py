@@ -80,6 +80,9 @@ MIN_REPRESENTATIVES = 3
 # before its representatives' shapes, not rounding, decide its split.
 MIN_SHAPE_FRAMES = 3
 
+# Shortest block ``partition_blocks`` cuts, except a remainder at the end.
+MIN_BLOCK_LEN = 10
+
 # Upper bound of every count and size parameter and of ``--jobs``. Larger
 # values overflow numpy's integer and array-size arithmetic (a grid cell
 # index is cy * g + cx) before they could mean anything. Seeds are only
@@ -255,14 +258,13 @@ class TrajectoryStore:
 class Block:
     """A contiguous frame interval [start, end) processed as one unit.
 
-    ``spanning_ids`` are the trajectories that cover every frame of it,
-    in ascending order. Which other trajectories cover enough of it to be
-    labeled is decided by ``assign_stragglers``.
+    A block is its frame range and nothing else. Which trajectories span
+    it is read from the store by ``select_representatives``, and which
+    others cover enough of it to be labeled by ``assign_stragglers``.
     """
 
     start: int
     end: int
-    spanning_ids: tuple[int, ...]
 
     def __post_init__(self):
         if self.end <= self.start:
@@ -283,7 +285,9 @@ class SegmenterParams:
 
     Defaults: affinity bandwidth 0.02, 70% coverage threshold for late
     labeling, 10% minimum spanning fraction per block, a 16x16
-    representative grid. ``lam`` and ``seed`` are checked and recorded
+    representative grid, blocks of at most 60 frames. The shortest block
+    is the constant ``MIN_BLOCK_LEN``, so ``max_block_len`` must be at
+    least that. ``lam`` and ``seed`` are checked and recorded
     but do not affect labels: a block's GPA means are never smoothed,
     and the normalized-cut sweep that clusters it has no seed. The
     pipeline segments one moving object, so there are always two
@@ -299,17 +303,15 @@ class SegmenterParams:
     grid_cells: int = 16
     seed: int = 0
     max_block_len: int = 60
-    min_block_len: int = 10
 
     def __post_init__(self):
         if not self.omega > 0:
             raise InvalidParameter("omega must be > 0")
         if not self.lam >= 0:
             raise InvalidParameter("lam must be >= 0")
-        for name in ("grid_cells", "min_block_len"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} must be >= 1")
-        for name in ("grid_cells", "max_block_len", "min_block_len"):
+        if self.grid_cells < 1:
+            raise InvalidParameter("grid_cells must be >= 1")
+        for name in ("grid_cells", "max_block_len"):
             check_at_most(name, getattr(self, name))
         if self.seed < 0:
             raise InvalidParameter("seed must be >= 0")
@@ -317,8 +319,8 @@ class SegmenterParams:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise InvalidParameter(f"{name} must be in (0, 1]")
-        if self.max_block_len < self.min_block_len:
-            raise InvalidParameter("max_block_len must be >= min_block_len")
+        if self.max_block_len < MIN_BLOCK_LEN:
+            raise InvalidParameter(f"max_block_len must be >= {MIN_BLOCK_LEN}")
         for name in ("omega", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameter(f"{name} must be finite")
@@ -345,22 +347,25 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
     Starting at the first uncovered frame, a block is extended one frame
     at a time while the number of trajectories spanning it stays at or
     above ``min_span_fraction`` of the store and its length stays within
-    ``max_block_len``. A trailing remainder shorter than ``min_block_len``
+    ``max_block_len``. A trailing remainder shorter than ``MIN_BLOCK_LEN``
     becomes its own block; every block must satisfy the spanning rule.
     A remainder shorter than ``MIN_SHAPE_FRAMES`` could never be
     labeled, so the block before it runs on to the last frame instead
     (up to two frames past ``max_block_len``) when the spanning rule
     holds there; otherwise the remainder stays a block of its own.
+    A track spans [s, e) when it starts by frame s and ends no earlier
+    than e; a block keeps only its frame range, and
+    ``select_representatives`` applies the same rule to the store.
     """
     total = len(store)
     if total == 0:
         raise InvalidParameter("store has no trajectories")
     need = params.min_span_fraction * total - _FRACTION_EPS
-    ids, starts, ends = store.frame_spans
+    _, starts, ends = store.frame_spans
     blocks = []
     s = 0
     while s < store.n_frames_total:
-        e_min = min(s + params.min_block_len, store.n_frames_total)
+        e_min = min(s + MIN_BLOCK_LEN, store.n_frames_total)
         e_max = min(s + params.max_block_len, store.n_frames_total)
         candidates = np.arange(e_min, e_max + 1)
         if 0 < store.n_frames_total - e_max < MIN_SHAPE_FRAMES:
@@ -377,8 +382,7 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
             )
         # The count never grows with e, so the valid ends are a prefix.
         e = int(candidates[np.count_nonzero(valid) - 1])
-        spanning_ids = ids[(starts <= s) & (ends >= e)]
-        blocks.append(Block(s, e, tuple(spanning_ids.tolist())))
+        blocks.append(Block(s, e))
         s = e
     return blocks
 
@@ -388,34 +392,37 @@ def select_representatives(
 ) -> list[int]:
     """One spanning trajectory per occupied grid cell of the block's first frame.
 
-    Within a cell the trajectory whose first-frame position lies nearest
-    the cell center wins; distance ties go to the lowest id. A trajectory
-    that does not move over the block (centered norm below
-    ``DEGENERACY_EPS``) has no shape and is never chosen; its cell goes to
-    the next-nearest one. A block shorter than ``MIN_SHAPE_FRAMES`` has
-    no representatives: any two points have the same shape, so rounding
-    would decide the split. Ids are returned in ascending order; fewer
-    than ``MIN_REPRESENTATIVES`` raise ``TooFewRepresentatives``.
+    The spanning trajectories are the store's tracks that start by the
+    block's first frame and end no earlier than its end, the rule
+    ``partition_blocks`` counts. Within a cell the trajectory whose
+    first-frame position lies nearest the cell center wins; distance ties
+    go to the lowest id. A trajectory that does not move over the block
+    (centered norm below ``DEGENERACY_EPS``) has no shape and is never
+    chosen; its cell goes to the next-nearest one. A block shorter than
+    ``MIN_SHAPE_FRAMES`` has no representatives: any two points have the
+    same shape, so rounding would decide the split. Ids are returned in
+    ascending order; fewer than ``MIN_REPRESENTATIVES`` raise
+    ``TooFewRepresentatives``.
     """
-    ids = np.array(block.spanning_ids, dtype=np.int64)
+    ids, starts, ends = store.frame_spans
+    k = np.flatnonzero((starts <= block.start) & (ends >= block.end))
     reps: list[int] = []
-    if ids.size and block.length >= MIN_SHAPE_FRAMES:
+    if k.size and block.length >= MIN_SHAPE_FRAMES:
         width, height = store.frame_size
         g = params.grid_cells
         cell_w = width / g
         cell_h = height / g
-        k = np.searchsorted(store.frame_spans[0], ids)
         z = store.windows(k, block.start, block.end)[0]
         moving = preshape_rows(z)[1] >= DEGENERACY_EPS
-        x, y = z[moving, 0].real, z[moving, 0].imag
+        k, x, y = k[moving], z[moving, 0].real, z[moving, 0].imag
         cx = np.minimum((x // cell_w).astype(np.int64), g - 1)
         cy = np.minimum((y // cell_h).astype(np.int64), g - 1)
         d2 = (x - (cx + 0.5) * cell_w) ** 2 + (y - (cy + 0.5) * cell_h) ** 2
         cell = cy * g + cx
-        order = np.lexsort((ids[moving], d2, cell))
+        order = np.lexsort((k, d2, cell))  # k runs in id order
         first = np.ones(order.size, dtype=bool)
         first[1:] = cell[order][1:] != cell[order][:-1]
-        reps = sorted(ids[moving][order[first]].tolist())
+        reps = sorted(ids[k[order[first]]].tolist())
     if len(reps) < MIN_REPRESENTATIVES:
         raise TooFewRepresentatives(
             f"{len(reps)} representatives in block {block.frame_range}, "

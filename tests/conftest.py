@@ -33,6 +33,21 @@ from jitterseg.errors import (
 from jitterseg.io import DuplicateKey, _is_int, _parse_header, _valid_points, unique_keys
 from jitterseg.shapes import stack_preshapes, unit_phase
 
+# Hypothesis's pytest plugin imports this module to report a failing
+# example. It imports libcst, which subclasses ``mypy_extensions.TypedDict``;
+# under ``-W error::DeprecationWarning`` that warning raises inside the
+# plugin and stops the whole run before the example is shown. Import it
+# once here with only that warning ignored. Without libcst there is
+# nothing to import, and the plugin reports without it.
+try:
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"mypy_extensions\.TypedDict is deprecated", DeprecationWarning
+        )
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
+
 
 def rotation_matrix(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
@@ -205,6 +220,36 @@ def oracle_assign_stragglers(result, store, block, params) -> dict[int, int]:
             continue
         labels[t.id] = next(i for i, d in enumerate(dists) if d < d_min + 1e-12)
     return labels
+
+
+def oracle_representatives(store, block, params) -> list[int]:
+    """``select_representatives`` one track and one grid cell at a time.
+
+    The spanning tracks are found by brute force over the store, in store
+    order. A track whose block window ``project_to_preshape`` refuses as
+    motionless is passed over; each occupied cell of the block's first
+    frame keeps its track of smallest (distance to the cell center, id).
+    Returns the ids in ascending order, however few; a block under three
+    frames has none.
+    """
+    if block.length < 3:
+        return []
+    g = params.grid_cells
+    cell_w, cell_h = store.frame_size[0] / g, store.frame_size[1] / g
+    best: dict[tuple[int, int], tuple[float, int]] = {}
+    for t in store.trajectories:
+        if not (t.start_frame <= block.start and block.end <= t.end_frame):
+            continue
+        window = t.points[block.start - t.start_frame : block.end - t.start_frame]
+        try:
+            project_to_preshape(window)
+        except DegenerateTrajectory:
+            continue
+        x, y = window[0]
+        cell = (min(int(x // cell_w), g - 1), min(int(y // cell_h), g - 1))
+        d = (x - (cell[0] + 0.5) * cell_w) ** 2 + (y - (cell[1] + 0.5) * cell_h) ** 2
+        best[cell] = min(best.get(cell, (d, t.id)), (d, t.id))
+    return sorted(tid for _, tid in best.values())
 
 
 def oracle_segment_block(store, block, params, *, rounds: int, jacobi_iters: int) -> BlockResult:

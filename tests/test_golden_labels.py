@@ -26,13 +26,13 @@ GOLDEN = {
     "readme": (
         ["--sigma", "0.15", "--n-bg", "60", "--n-fg", "20", "--frames", "30", "--seed", "7"],
         ["--seed", "7"],
-        "e38cb930d44a84aac162280603585034bcfeea10a6c31b3a2aba673a441f706d",
+        "a237e500e1483107f9466ee1acd22cd23fb58be49c90d3074e3d345b827b1f5f",
     ),
     # Acceptance criterion 7's scene: four blocks.
     "four_blocks": (
         ["--sigma", "0.15", "--n-bg", "40", "--n-fg", "15", "--frames", "80", "--seed", "5"],
         ["--max-block-len", "25", "--seed", "5"],
-        "24fb2f35854bcd543ee10b03bfa1ed70f6d1978ba24d0dcc7b773a53cc836a17",
+        "bc30402a24a8825f5f3ad0bddbc506cd57bf3c66b6cca9f0339adeb75753ce07",
     ),
 }
 
@@ -67,7 +67,7 @@ PARTIAL_SCENE = SceneParams(
     object_speed=0.6,
     seed=3001,
 )
-PARTIAL_DIGEST = "ab8528caa5f27eb9811ea14065436b1e55b63961de77a4a5c82e51d60e92aa49"
+PARTIAL_DIGEST = "054718084a563ee6dd355b87393789f33a8ba8e790aec6e9b3c15049245b2d30"
 PARTIAL_SCENE_DIGEST = "030189b3fe7f776ac89cc9454a8e69a519003b375c95d19d5f7e63c036c4b96e"
 
 

@@ -22,6 +22,7 @@ from jitterseg import (
     SegmenterParams,
     Trajectory,
     TrajectoryStore,
+    cli,
     generate_scene,
     parse_labels,
     parse_trajectories,
@@ -48,8 +49,8 @@ HUGE_INT = 10**400
 
 # The label file that ``synth --sigma 0.05 --n-bg 5 --n-fg 3 --frames 12
 # --seed 1`` then ``segment --grid 4`` wrote before ``--outer-iters`` and
-# ``--jacobi-iters`` were retired: its params record still holds them, and
-# the constant ``m``.
+# ``--jacobi-iters`` were retired: its params record still holds them, the
+# constant ``m`` and ``min_block_len``, which had no flag.
 RETIRED_KEYS_LABELS = (
     '{"type":"params","params":{"command":"segment","omega":0.02,"lambda":0.2,'
     '"outer_iters":3,"jacobi_iters":5,"m":2,"span_threshold":0.7,"min_span_fraction":0.1,'
@@ -577,6 +578,47 @@ class TestCli:
         assert run_cli([*base, "--out", str(out), "--gt", str(gt), "--seed", "-2"]) == 2
         assert capsys.readouterr().err == "jitterseg synth: invalid parameters: seed must be >= 0\n"
 
+    def test_block_cap_below_the_shortest_block_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["segment", "--input", "x", "--output", str(out), "--max-block-len", "9"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            "jitterseg segment: invalid parameters: max_block_len must be >= 10\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "Unable to allocate 16.0 GiB for an array"])
+    @pytest.mark.parametrize(
+        "command, name, stage",
+        [
+            ("synth", "generate_scene", "generate"),
+            ("segment", "parse_trajectories", "parse"),
+            ("segment", "segment_store", "segment"),
+        ],
+    )
+    def test_out_of_memory_is_one_line_error(
+        self, tmp_path, capsys, monkeypatch, command, name, stage, text
+    ):
+        # A size that does not fit in memory, with the stage patched to
+        # raise instead of allocating: exit 1 and one stderr line.
+        traj, _ = self._synth(tmp_path, 0.0)
+
+        def no_memory(*args):
+            raise MemoryError(text) if text else MemoryError
+
+        monkeypatch.setattr(cli, name, no_memory)
+        out, gt = tmp_path / "out.jsonl", tmp_path / "gt.jsonl"
+        synth = ["--sigma", "0.1", "--n-bg", "2", "--n-fg", "1", "--frames", "12"]
+        argv = {
+            "synth": ["synth", *synth, "--out", str(out), "--gt", str(gt)],
+            "segment": ["segment", "--input", str(traj), "--output", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"jitterseg {command}: {stage} stage failed: {text or 'not enough memory'}\n"
+        assert not out.exists() and not gt.exists()
+
     def test_huge_seed_is_accepted(self, tmp_path):
         traj, _ = self._synth(tmp_path, 0.15, seed=10**20)
         out = tmp_path / "labels.jsonl"
@@ -723,6 +765,7 @@ class TestCli:
         old.write_text(RETIRED_KEYS_LABELS)
         params = parse_labels(old).params
         assert (params["outer_iters"], params["jacobi_iters"], params["m"]) == (3, 5, 2)
+        assert params["min_block_len"] == 10
         # The same run today writes the same lines after a shorter params record.
         scene, gt, new = tmp_path / "scene.jsonl", tmp_path / "gt.jsonl", tmp_path / "new.jsonl"
         synth = ["--sigma", "0.05", "--n-bg", "5", "--n-fg", "3", "--frames", "12", "--seed", "1"]
@@ -731,7 +774,7 @@ class TestCli:
         old_params, *old_rest = RETIRED_KEYS_LABELS.splitlines()
         new_params, *new_rest = new.read_text().splitlines()
         assert new_rest == old_rest
-        dropped = {"outer_iters": 3, "jacobi_iters": 5, "m": 2}
+        dropped = {"outer_iters": 3, "jacobi_iters": 5, "m": 2, "min_block_len": 10}
         assert {**json.loads(new_params)["params"], **dropped} == params
         capsys.readouterr()
         assert run_cli(["eval", "--pred", str(old), "--gt", str(gt)]) == 0
@@ -1086,7 +1129,13 @@ class TestParamsAgree:
         expected = SegmenterParams(**{_SEGMENT_FIELDS[k]: v for k, v in values.items()})
         assert _params(SegmenterParams, _SEGMENT, record) == expected
         assert len(record) == 1 + len(dataclasses.fields(SegmenterParams))
-        assert record["min_block_len"] == 10
+        assert "min_block_len" not in record
+
+    def test_every_params_field_has_a_flag(self):
+        for options, cls in ((_SEGMENT, SegmenterParams), (_SYNTH, SceneParams)):
+            assert all(opt.help for opt in options)
+            fields = {f.name for f in dataclasses.fields(cls)}
+            assert {opt.field for opt in options} - {None} == fields
 
     @settings(max_examples=6, deadline=None)
     @given(values=_synth_values)

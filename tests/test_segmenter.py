@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import oracle_fuse_blocks
+from conftest import oracle_fuse_blocks, oracle_representatives
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from jitterseg import (
     segment_store,
     select_representatives,
 )
+from jitterseg.segmenter import MIN_BLOCK_LEN
 from jitterseg.errors import (
     BlockSkipped,
     BoundsError,
@@ -78,7 +79,7 @@ def _oracle_partition(store, params):
     bounds = []
     s = 0
     while s < n_frames:
-        e_min = min(s + params.min_block_len, n_frames)
+        e_min = min(s + MIN_BLOCK_LEN, n_frames)
         e_max = min(s + params.max_block_len, n_frames)
         valid = [e for e in range(e_min, e_max + 1) if spans(s, e) >= need]
         assert valid, "oracle found no valid block where the implementation must fail"
@@ -96,7 +97,10 @@ class TestPartitionBlocks:
         store = TrajectoryStore(trajs, 40, FRAME)
         blocks = partition_blocks(store, SegmenterParams(max_block_len=40))
         assert [(b.start, b.end) for b in blocks] == [(0, 40)]
-        assert len(blocks[0].spanning_ids) == 10
+        # 10-px cells give each of the ten tracks a cell of its own, so all
+        # of them span the block and represent it.
+        fine = SegmenterParams(grid_cells=64)
+        assert select_representatives(store, blocks[0], fine) == list(range(10))
 
     def test_boundary_forced_by_spanning_rule(self):
         # Of the 100 trajectories alive at frame 0, only 5 continue past
@@ -129,7 +133,9 @@ class TestPartitionBlocks:
         store = TrajectoryStore(trajs, frames, FRAME)
         blocks = partition_blocks(store, SegmenterParams())
         assert [b.frame_range for b in blocks] == ranges
-        assert [b.spanning_ids for b in blocks] == [tuple(range(10))] * len(ranges)
+        fine = SegmenterParams(grid_cells=64)  # 10-px cells: every track represents
+        for b in blocks:
+            assert select_representatives(store, b, fine) == list(range(10))
 
     def test_short_tail_stays_when_too_few_span_it(self):
         # Only 1 of 20 tracks reaches frame 62, below the 10% rule, so the
@@ -164,15 +170,12 @@ class TestPartitionProperty:
         st.integers(5, 80),
         st.integers(20, 120),
         st.sampled_from([0.05, 0.1, 0.2, 0.4]),
-        st.integers(2, 15),
         st.integers(0, 50),
     )
-    def test_matches_exhaustive_oracle(self, seed, n, n_frames, min_span, min_len, extra_len):
+    def test_matches_exhaustive_oracle(self, seed, n, n_frames, min_span, extra_len):
         store = _staggered_store(np.random.default_rng(seed), n=n, n_frames=n_frames)
         params = SegmenterParams(
-            min_span_fraction=min_span,
-            min_block_len=min_len,
-            max_block_len=min_len + extra_len,
+            min_span_fraction=min_span, max_block_len=MIN_BLOCK_LEN + extra_len
         )
         try:
             expected = _oracle_partition(store, params)
@@ -182,13 +185,58 @@ class TestPartitionProperty:
             return
         blocks = partition_blocks(store, params)
         assert [b.frame_range for b in blocks] == expected
-        trajs = sorted(store.trajectories, key=lambda t: t.id)
-        for b in blocks:
-            spanning = [t.id for t in trajs if t.start_frame <= b.start and t.end_frame >= b.end]
-            assert b.spanning_ids == tuple(spanning)
+
+
+@st.composite
+def _partial_store_and_block(draw):
+    """A store of partial tracks in shuffled id order, a block and a grid.
+
+    Ids run from below zero to beyond 2**32. Tracks start on a coarse
+    9 x 9 lattice, so they share cells and tie on distance, and some never
+    move.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_frames = draw(st.integers(3, 40))
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=8, max_size=40, unique=True))
+    trajs = []
+    for tid in rng.permutation(ids).tolist():
+        start = 0 if rng.random() < 0.5 else int(rng.integers(0, n_frames - 1))
+        length = n_frames - start if start == 0 else int(rng.integers(2, n_frames - start + 1))
+        step = np.zeros(2) if rng.random() < 0.15 else rng.uniform(-1.0, 1.0, 2)
+        x0, y0 = 80.0 * rng.integers(0, 9), 45.0 * rng.integers(0, 9)
+        points = np.array([x0, y0]) + np.arange(length)[:, None] * step
+        trajs.append(Trajectory(tid, start, np.clip(points, 0.0, FRAME)))
+    start = int(rng.integers(0, n_frames))
+    block = Block(start, int(rng.integers(start + 1, n_frames + 1)))
+    params = SegmenterParams(grid_cells=draw(st.sampled_from([2, 4, 16])))
+    return TrajectoryStore(tuple(trajs), n_frames, FRAME), block, params
 
 
 class TestSelectRepresentatives:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_partial_store_and_block())
+    def test_matches_brute_force_oracle(self, case):
+        store, block, params = case
+        expected = oracle_representatives(store, block, params)
+        if len(expected) < 3:
+            with pytest.raises(TooFewRepresentatives, match=f"^{len(expected)} representatives"):
+                select_representatives(store, block, params)
+        else:
+            assert select_representatives(store, block, params) == expected
+
+    def test_spanning_tracks_come_from_the_store(self):
+        # Track 999 covers only frames [10, 20). A block that listed it
+        # once made it a representative, with zeros in its uncovered
+        # frames; an id absent from the store was read as its neighbour.
+        scene = generate_scene(SceneParams(30, 10, 30, 0.1, seed=5))
+        extra = _track(999, 10, 10, x0=300.0, y0=200.0)
+        store = TrajectoryStore(scene.store.trajectories + (extra,), 30, scene.store.frame_size)
+        block, params = Block(0, 30), SegmenterParams()
+        assert set(segment_block(store, block, params).labels) <= set(store.by_id)
+        reps = select_representatives(store, block, params)
+        assert all(store.by_id[r].start_frame <= 0 and store.by_id[r].end_frame >= 30 for r in reps)
+        assert reps == oracle_representatives(store, block, params)
+
     def test_one_per_cell_keeps_all(self):
         # Cell size is 40 x 22.5 at 640x360 with a 16-grid.
         trajs = tuple(
@@ -222,8 +270,10 @@ class TestSelectRepresentatives:
         for cy in range(12):
             for cx in range(12):
                 cands = []
-                for tid in block.spanning_ids:
-                    t = store.by_id[tid]
+                for t in store.trajectories:
+                    if not t.start_frame <= block.start < block.end <= t.end_frame:
+                        continue
+                    tid = t.id
                     x, y = t.points[block.start - t.start_frame]
                     if min(int(x // cw), 11) == cx and min(int(y // ch), 11) == cy:
                         d = (x - (cx + 0.5) * cw) ** 2 + (y - (cy + 0.5) * ch) ** 2
@@ -262,7 +312,7 @@ class TestSelectRepresentatives:
         # Any two points have the same shape, so a 2-frame block has
         # nothing to split but rounding.
         store = TrajectoryStore(tuple(_track(i, 0, 20, x0=40.0 * i + 5.0) for i in range(8)), 20, FRAME)
-        block = Block(17, 17 + length, tuple(range(8)))
+        block = Block(17, 17 + length)
         if length == 3:
             assert select_representatives(store, block, SegmenterParams()) == list(range(8))
         else:
@@ -401,7 +451,7 @@ def _fusion_cases(draw):
     store = TrajectoryStore(tuple(trajs), 40, FRAME)
     labels = st.dictionaries(st.integers(0, n_ids - 1), st.integers(0, 1), max_size=4)
     maps = draw(st.lists(labels, min_size=1, max_size=5))
-    results = [BlockResult(Block(8 * b, 8 * b + 8, ()), m, ()) for b, m in enumerate(maps)]
+    results = [BlockResult(Block(8 * b, 8 * b + 8), m, ()) for b, m in enumerate(maps)]
     return results, store
 
 
@@ -540,8 +590,8 @@ class TestFuseBlocks:
             20,
             FRAME,
         )
-        head = BlockResult(Block(0, 10, ()), {0: 0, 1: 0, 2: 1, 3: 1}, ())
-        tail = BlockResult(Block(10, 20, ()), {2: 1, 3: 0, 4: 1, 5: 0}, ())
+        head = BlockResult(Block(0, 10), {0: 0, 1: 0, 2: 1, 3: 1}, ())
+        tail = BlockResult(Block(10, 20), {2: 1, 3: 0, 4: 1, 5: 0}, ())
         want = {0: 1, 1: 1, 2: 0, 3: 0, 4: 0, 5: 1}
         assert fuse_blocks([head, tail], store) == want
         assert oracle_fuse_blocks([head, tail], store) == want
@@ -592,10 +642,13 @@ class TestDeterminismAndStore:
             SegmenterParams(span_threshold=1.5)
         with pytest.raises(InvalidParameter):
             SegmenterParams(grid_cells=0)
+        with pytest.raises(InvalidParameter, match=r"^max_block_len must be >= 10$"):
+            SegmenterParams(max_block_len=MIN_BLOCK_LEN - 1)
+        assert SegmenterParams(max_block_len=MIN_BLOCK_LEN).max_block_len == 10
 
 
 class TestBlockType:
-    @pytest.mark.parametrize("args", [(5, 5, ()), (6, 2, (1,))])
+    @pytest.mark.parametrize("args", [(5, 5), (6, 2)])
     def test_typed_value_error(self, args):
         with pytest.raises(InvalidBlock) as info:
             Block(*args)

@@ -77,7 +77,7 @@ def straggler_cases(draw):
     n_frames = draw(st.integers(4, 40))
     start = draw(st.integers(0, n_frames - 2))
     end = draw(st.integers(start + 2, n_frames))
-    block = Block(start, end, ())
+    block = Block(start, end)
     trajs = []
     for tid in range(draw(st.integers(1, 40))):
         t_start = int(rng.integers(0, n_frames - 1))
@@ -138,7 +138,7 @@ class TestStragglersOracle:
         trajs.append(Trajectory(6, 0, np.full((20, 2), 50.0)))
         trajs.append(Trajectory(7, 3, _walk(rng, 15)))
         store = TrajectoryStore(tuple(trajs), 20, FRAME)
-        block = Block(0, 20, ())
+        block = Block(0, 20)
         means = tuple(_mean_configs(kind, 20, rng))
         return BlockResult(block, {0: 0}, means), store, block, SegmenterParams()
 
