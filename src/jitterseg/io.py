@@ -8,6 +8,15 @@ A parsed file becomes a ``TrajectoryStore`` over the columns it was read
 into: every point lies once in one float buffer, and the store's one
 check validates ids, frame ranges and points for the whole file.
 
+``serialize_trajectories`` writes the compact form: no whitespace, and
+every record coordinate in plain decimals. A file in that form is
+decoded in bulk, a chunk of lines at a time, by integer scanning and
+one correctly rounded division per coordinate. Any other valid layout
+(spaces, exponents, integer coordinates, blank lines, CRLF line ends),
+and any input that can be read only once, such as a pipe, is read line
+by line, which gives the same store, and every fault is reported by
+that reader, with the same error and line number.
+
 A label file holds an optional ``params`` record (the complete effective
 parameter set of the run), one ``block`` record per processed block
 (its frame range ``[start, end)`` with ``0 <= start < end`` and its
@@ -19,6 +28,8 @@ label 1); the reader ignores that key.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -56,13 +67,13 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _records(path, object_pairs_hook=None):
-    """Yield (line number, line, JSON value) for each non-blank line of a file.
+    """Yield (line number, JSON value) for each non-blank line of a file.
 
-    The line is yielded stripped. Undecodable bytes are read as escapes,
-    so a line that is not UTF-8 or not JSON is a ``ParseError`` with its
-    number, and so are a leading byte-order mark, an integer too long to
-    convert and a ``DuplicateKey`` from ``object_pairs_hook``. One decoder
-    serves the whole file.
+    Lines are stripped before they are decoded. Undecodable bytes are read
+    as escapes, so a line that is not UTF-8 or not JSON is a ``ParseError``
+    with its number, and so are a leading byte-order mark, an integer too
+    long to convert and a ``DuplicateKey`` from ``object_pairs_hook``. One
+    decoder serves the whole file.
     """
     decode = json.JSONDecoder(object_pairs_hook=object_pairs_hook).decode
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
@@ -87,7 +98,7 @@ def _records(path, object_pairs_hook=None):
                 raise ParseError("invalid JSON (integer too long)", lineno) from None
             except RecursionError:
                 raise ParseError("invalid JSON (nested too deeply)", lineno) from None
-            yield lineno, line, rec
+            yield lineno, rec
 
 
 def _is_int(v) -> bool:
@@ -132,15 +143,26 @@ def serialize_trajectories(store: TrajectoryStore, path) -> None:
 def parse_trajectories(path) -> TrajectoryStore:
     """Read a trajectory file into a store.
 
-    Records are read one line at a time and their structure (JSON, keys
-    named once, integer types, point lists) is checked as they are read.
-    Each record's id, start frame and line number are appended to integer
-    columns and its points to one float64 buffer; the JSON objects are
-    dropped at once. The store adopts the columns as they are and its one
-    check (``TrajectoryStore.first_fault``) covers ids, frame ranges,
-    finiteness and frame bounds over all of them at once. Whichever check
-    fails, the error is raised for the first faulty record in file order,
-    with its line number.
+    A file in the compact form that ``serialize_trajectories`` writes is
+    decoded in bulk (``_decode_compact``); any other file, and any file
+    with a fault, is read line by line (``_parse_lines``), which gives the
+    same store and is the one source of errors and their line numbers.
+    """
+    store = _decode_compact(path)
+    return _parse_lines(path) if store is None else store
+
+
+def _parse_lines(path) -> TrajectoryStore:
+    """Read a trajectory file one line at a time.
+
+    Each record's structure (JSON, keys named once, integer types, point
+    lists) is checked as it is read. Its id, start frame and line number
+    are appended to integer columns and its points to one float64 buffer;
+    the JSON objects are dropped at once. The store adopts the columns as
+    they are and its one check (``TrajectoryStore.first_fault``) covers
+    ids, frame ranges, finiteness and frame bounds over all of them at
+    once. Whichever check fails, the error is raised for the first faulty
+    record in file order, with its line number.
     """
     header = None
     coords = array("d")
@@ -148,13 +170,13 @@ def parse_trajectories(path) -> TrajectoryStore:
     bounds = array("q", [0])  # track i owns buffer rows bounds[i]:bounds[i + 1]
     fault = None
     try:
-        for lineno, line, rec in _records(path, unique_keys):
+        for lineno, rec in _records(path, unique_keys):
             if type(rec) is not dict:
                 raise ParseError("record is not an object", lineno)
             if header is None:
                 header = _parse_header(rec, lineno)
                 continue
-            tid, start, overflow = _parse_record(rec, lineno, line, coords)
+            tid, start, overflow = _parse_record(rec, lineno, coords)
             ids.append(tid)
             # Every start outside [0, frames] breaks the frame rule, and
             # clamped to [-1, frames] it still does and fits in 64 bits.
@@ -203,7 +225,7 @@ def _parse_header(rec: dict, lineno: int) -> tuple[int, int, int]:
     return rec["frames"], rec["width"], rec["height"]
 
 
-def _parse_record(rec: dict, lineno: int, line: str, coords: array) -> tuple[int, int, bool]:
+def _parse_record(rec: dict, lineno: int, coords: array) -> tuple[int, int, bool]:
     """Check one trajectory record's structure and append its points to ``coords``.
 
     Returns (id, start, overflow). ``overflow`` says that a coordinate is
@@ -211,20 +233,6 @@ def _parse_record(rec: dict, lineno: int, line: str, coords: array) -> tuple[int
     which break no store rule, so that its id and frame range are still
     checked before the overflow is reported. Ids, frame ranges,
     finiteness and frame bounds are left to the store's check.
-
-    The points are not checked value by value before they are appended.
-    ``array.fromlist`` takes only ints and floats, and leaves the array
-    as it was when it refuses a value. Once it has taken every value of
-    ``pts``, each item of ``pts`` was a list of numbers (anything else
-    yields a non-number or nothing), so their lengths finish the check.
-    The one non-number it would take is a bool, and a record holds one
-    only when its line holds ``true`` or ``false``, so only when it holds
-    a ``u`` or an ``l``: no number or required key has either letter. A
-    line that does gets the full ``_valid_points`` first, and so does a
-    record whose values ``fromlist`` refuses; each fault thus gets the
-    error, and the precedence, of a check made before any point is taken.
-    Points taken for a record that then fails lie past the last track's
-    rows and are never read.
     """
     if not ("id" in rec and "start" in rec and "points" in rec):
         key = next(k for k in ("id", "start", "points") if k not in rec)
@@ -235,23 +243,179 @@ def _parse_record(rec: dict, lineno: int, line: str, coords: array) -> tuple[int
     # The store keeps ids as int64.
     if not -(2**63) <= tid < 2**63:
         raise ParseError("'id' must fit in a 64-bit integer", lineno)
-    if (
-        type(pts) is not list
-        or len(pts) < 2
-        or (("u" in line or "l" in line) and not _valid_points(pts))
-    ):
+    if not _valid_points(pts):
         raise ParseError(_POINTS_MESSAGE, lineno)
     try:
         coords.fromlist(list(chain.from_iterable(pts)))
-    except (TypeError, OverflowError):
-        if not _valid_points(pts):
-            raise ParseError(_POINTS_MESSAGE, lineno) from None
-        # The values are numbers: an int too large for a float.
+    except OverflowError:  # an int too large for a float; the array is as it was
         coords.frombytes(bytes(16 * len(pts)))
         return tid, start, True
-    if set(map(len, pts)) != {2}:
-        raise ParseError(_POINTS_MESSAGE, lineno)
     return tid, start, False
+
+
+# The bulk decoder reads whole lines in chunks of about this many bytes:
+# decoding a whole file at once holds several arrays the size of its text.
+_CHUNK_BYTES = 1 << 17
+
+# The bulk decoder divides in long double and rounds the quotient to a
+# double. That gives the correctly rounded double, once the quotients that
+# fall on a midpoint between two doubles are redone, when long double
+# division rounds correctly to at least 64 bits. It is used where long
+# double is x87 extended precision (63 stored fraction bits), the platform
+# it was measured on. IEEE quad (112) would round correctly too, but is
+# emulated in software where it is found, and was never measured; there,
+# and where long double is a double (52) or a pair of doubles (105),
+# every file is read line by line.
+_EXACT_DIVISION = np.finfo(np.longdouble).nmant == 63
+
+_DIGITS = b"0123456789"
+# Every byte but a digit becomes a space, the separator np.fromstring reads.
+_DIGITS_ONLY = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
+# A record line without its digits: the head, one ``[x,y],`` per point
+# but the last, and the last point with the line's end.
+_HEAD, _POINT, _TAIL = b'{"id":,"start":,"points":[', b"[.,.],", b"[.,.]]}\n"
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
+
+
+def _decode_compact(path) -> TrajectoryStore | None:
+    """The store of a compact trajectory file, or None when it cannot vouch for one.
+
+    The compact form is what ``serialize_trajectories`` writes: a header
+    line, then lines ``{"id":I,"start":S,"points":[[X,Y],...]}`` whose
+    numbers are plain digits, each coordinate with one dot. Such a file is
+    read in chunks of whole lines (``_decode_chunk``) straight into the
+    store's columns. Anything else (whitespace, signs, exponents, blank
+    lines, CRLF line ends, non-ASCII bytes, a header that is not valid,
+    tokens of more than 18 digits) and any store that fails its check
+    gives None, and the file is read line by line instead.
+
+    Only a regular file is decoded: a pipe, a FIFO or ``/dev/stdin`` can
+    be read only once, so it is left unopened for the line-by-line reader.
+    The points buffer is sized from the file, 16 bytes of address space
+    per 10 bytes of text, while the file is read; it is then cut down to
+    the points read, so that the store holds no more than it uses.
+    """
+    if not _EXACT_DIVISION:
+        return None
+    try:
+        info = os.stat(path)
+    except OSError:  # the line-by-line reader reports it
+        return None
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    with open(path, "rb") as f:
+        header = _compact_header(f.readline())
+        if header is None:
+            return None
+        frames, width, height = header
+        # Each point takes at least 10 bytes, as ``[0.0,0.0],``.
+        rows = np.empty((info.st_size // 10, 2))
+        n_rows = 0
+        ids, starts, counts = [], [], []
+        while chunk := f.read(_CHUNK_BYTES):
+            chunk += f.readline()  # the rest of the last line
+            part = _decode_chunk(chunk if chunk.endswith(b"\n") else chunk + b"\n")
+            if part is None:
+                return None
+            tids, firsts, n_points, points = part
+            if n_rows + len(points) > len(rows):  # the file grew while it was read
+                return None
+            ids.append(tids)
+            starts.append(firsts)
+            counts.append(n_points)
+            rows[n_rows : n_rows + len(points)] = points
+            n_rows += len(points)
+    rows.resize((n_rows, 2), refcheck=False)  # in place; no view of ``rows`` is alive
+    none = np.empty(0, dtype=np.int64)  # keeps the columns int64 when there is no track
+    store = TrajectoryStore._of_columns(
+        np.concatenate([none, *ids]),
+        np.concatenate([none, *starts]),
+        np.cumsum(np.concatenate([none, [0], *counts])),
+        rows,
+        frames,
+        (width, height),
+    )
+    return None if store.first_fault() is not None else store
+
+
+def _compact_header(line: bytes) -> tuple[int, int, int] | None:
+    """The header of the first line, when the line-by-line reader would read it alike.
+
+    A carriage return would end a line there, so a line holding one is
+    left to that reader, and so is any line that is not a valid header.
+    """
+    try:
+        text = line.decode("ascii")
+        if "\r" in text:
+            return None
+        rec = json.loads(text, object_pairs_hook=unique_keys)
+        if type(rec) is not dict:
+            return None
+        return _parse_header(rec, 1)
+    except (ValueError, RecursionError, ParseError):
+        return None
+
+
+def _decode_chunk(chunk: bytes):
+    """(ids, starts, point counts, (M, 2) points) of compact record lines, or None.
+
+    ``chunk`` holds whole lines, each ending in a newline. With its digits
+    deleted it must be the records' skeleton, so every other byte is where
+    the compact form puts it and every record has at least two points.
+    No slot for a number may be empty: no colon is followed by a comma and
+    every dot stands between two digits. Each dot becomes `` 1``, so that
+    a coordinate ``I.F`` reads as the two integers ``I`` and ``10**k + F``
+    (``F`` has ``k`` digits, its leading zeros kept), and one
+    ``np.fromstring`` reads every integer of the chunk. There must be one
+    per slot, so no digit stands outside one, and the digits they account
+    for must be the chunk's digits, which rejects a leading zero and a
+    token too large for 64 bits (``np.fromstring`` clamps it). Ids, starts
+    and integer parts have at most 18 digits, and a coordinate at most 18
+    digits in all, so that its digits ``M = I * 10**k + F`` fit in 64 bits.
+
+    The coordinate is ``M / 10**k``, both exact in long double. Their
+    quotient rounded to long double and then to double is the correctly
+    rounded double unless the long double lies halfway between two
+    doubles; those few coordinates are converted by ``float`` instead.
+    """
+    skeleton = chunk.translate(None, _DIGITS)
+    two_points = len(_HEAD + _POINT + _TAIL) - 1  # a line of two points, without its newline
+    counts = [(len(line) - two_points) // len(_POINT) + 2 for line in skeleton.split(b"\n")[:-1]]
+    if min(counts) < 2 or skeleton != b"".join(_HEAD + _POINT * (n - 1) + _TAIL for n in counts):
+        return None
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    dots, colons = np.flatnonzero(raw == ord(".")), np.flatnonzero(raw == ord(":"))
+    beside_dots = np.concatenate([raw[dots - 1], raw[dots + 1]])
+    # Bytes below "0" wrap around to large values.
+    if (beside_dots - ord("0") >= 10).any() or (raw[colons + 1] == ord(",")).any():
+        return None
+    n_points = sum(counts)
+    tokens = np.fromstring(chunk.replace(b".", b" 1").translate(_DIGITS_ONLY), np.int64, sep=" ")
+    if len(tokens) != 2 * len(counts) + 4 * n_points:
+        return None
+    digits = np.searchsorted(_POW10[1:], tokens, side="right") + 1
+    if digits.sum() != len(chunk) - len(skeleton) + 2 * n_points:
+        return None
+    counts = np.array(counts, dtype=np.int64)
+    heads = np.cumsum(4 * counts + 2) - (4 * counts + 2)
+    in_points = np.ones(len(tokens), dtype=bool)
+    in_points[heads] = in_points[heads + 1] = False
+    whole, frac = tokens[in_points].reshape(-1, 2).T
+    k = digits[in_points][1::2] - 1
+    if (digits[~in_points] > 18).any() or (whole >= _POW10[18 - k]).any():
+        return None
+    scale = _POW10[k]
+    exact = (whole * scale + (frac - scale)).astype(np.longdouble) / scale
+    values = exact.astype(np.float64)
+    # A long double halfway between two doubles lies half their gap from
+    # ``values``, or a quarter of ``np.spacing`` below a power of two. That
+    # distance is a power of two, which the cast to double keeps exactly.
+    # A long double that is only near a midpoint may be flagged as well.
+    off = np.abs((exact - values).astype(np.float64)) / np.spacing(values)
+    tie = np.flatnonzero((off == 0.5) | (off == 0.25))
+    texts = (f"{w}.{str(f)[1:]}" for w, f in zip(whole[tie].tolist(), frac[tie].tolist()))
+    values[tie] = [float(t) for t in texts]
+    return tokens[heads], tokens[heads + 1], counts, values.reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -332,7 +496,7 @@ def parse_labels(path) -> LabelFileData:
     blocks = []
     fused = None
     edge = 0
-    for lineno, _, rec in _records(path, unique_keys):
+    for lineno, rec in _records(path, unique_keys):
         if not isinstance(rec, dict) or "type" not in rec:
             raise ParseError("record needs a 'type' field", lineno)
         kind = rec["type"]

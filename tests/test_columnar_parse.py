@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jitterseg.cli
+import jitterseg.io
 from jitterseg import (
     SceneParams,
     Trajectory,
@@ -352,12 +353,17 @@ def _random_store(rng, n: int, frames: int) -> TrajectoryStore:
 
 
 class TestRoundTrip:
+    # With ``bulk`` False, the long double probe is forced off: the path of
+    # a platform whose long double is too short for the bulk decoder.
+    @pytest.mark.parametrize("bulk", [True, False])
     @PROPERTY
     @given(_stores)
-    def test_serialize_then_parse_is_bitwise(self, tmp_path_factory, store):
+    def test_serialize_then_parse_is_bitwise(self, tmp_path_factory, bulk, store):
         path = tmp_path_factory.mktemp("rt") / "t.jsonl"
         serialize_trajectories(store, path)
-        back = parse_trajectories(path)
+        probe = bulk and jitterseg.io._EXACT_DIVISION
+        with mock.patch.object(jitterseg.io, "_EXACT_DIVISION", probe):
+            back = parse_trajectories(path)
         assert back.n_frames_total == store.n_frames_total
         assert back.frame_size == store.frame_size
         # The file lists tracks in id order.

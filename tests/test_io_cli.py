@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -1196,6 +1199,59 @@ class TestParamsAgree:
                 assert shown is None, flag
             else:
                 assert shown is not None and shown.group(1) == str(default), flag
+
+
+class TestReadOnceInput:
+    """``segment --input`` reads a pipe or a FIFO, which can be read only
+    once, to the labels of the same scene in a regular file. The CLI runs
+    in a child process with the input on its stdin or in a FIFO that a
+    thread feeds; a reader that opened the input twice would find it empty
+    or wait for a writer that has gone, which the timeout turns into a
+    failure."""
+
+    ARGS = ["segment", "--seed", "7", "--jobs", "1"]
+
+    def _segment_in_child(self, source: str, output: Path, **stdin) -> None:
+        src = Path(cli.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "jitterseg.cli", *self.ARGS]
+            + ["--input", source, "--output", str(output)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+            **stdin,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+
+    def _labels_of_regular_file(self, scene_file, tmp_path) -> bytes:
+        out = tmp_path / "regular.jsonl"
+        assert run_cli([*self.ARGS, "--input", str(scene_file), "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_stdin_pipe(self, scene_file, tmp_path):
+        out = tmp_path / "pipe.jsonl"
+        self._segment_in_child("/dev/stdin", out, input=scene_file.read_bytes())
+        assert out.read_bytes() == self._labels_of_regular_file(scene_file, tmp_path)
+
+    def test_named_pipe(self, scene_file, tmp_path):
+        fifo, out = tmp_path / "scene.fifo", tmp_path / "fifo.jsonl"
+        os.mkfifo(fifo)
+        data = scene_file.read_bytes()
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            self._segment_in_child(str(fifo), out, stdin=subprocess.DEVNULL)
+        finally:
+            if writer.is_alive():  # the child never opened the FIFO: give the writer a reader
+                reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+                writer.join()
+                os.close(reader)
+        assert out.read_bytes() == self._labels_of_regular_file(scene_file, tmp_path)
 
 
 def _edits(base: bytes):
