@@ -9,13 +9,22 @@ into: every point lies once in one float buffer, and the store's one
 check validates ids, frame ranges and points for the whole file.
 
 ``serialize_trajectories`` writes the compact form: no whitespace, and
-every record coordinate in plain decimals. A file in that form is
-decoded in bulk, a chunk of lines at a time, by integer scanning and
-one correctly rounded division per coordinate. Any other valid layout
-(spaces, exponents, integer coordinates, blank lines, CRLF line ends),
-and any input that can be read only once, such as a pipe, is read line
-by line, which gives the same store, and every fault is reported by
-that reader, with the same error and line number.
+every record coordinate in plain decimals. Each line is byte for byte
+what ``json.dumps`` with separators ``(",", ":")`` writes, so every
+coordinate has the shortest digits that read back to it, as ``repr``
+prints them. The writer finds those digits in bulk, for whole tracks a
+chunk at a time, in long double, and checks them by reading them back
+as the bulk decoder does; what it cannot vouch for, and everything
+where long double is not x87 extended precision, ``repr`` writes.
+
+A file in the compact form is decoded in bulk, a chunk of lines at a
+time, by integer scanning and one correctly rounded division per
+coordinate. Any other valid layout (spaces, exponents, integer
+coordinates, blank lines, CRLF line ends), and any input that can be
+read only once, such as a pipe, is read line by line, which gives the
+same store, and every fault is reported by that reader, with the same
+error and line number. Lines end at ``\\n`` only; a lone ``\\r`` is
+whitespace.
 
 A label file holds an optional ``params`` record (the complete effective
 parameter set of the run), one ``block`` record per processed block
@@ -69,14 +78,16 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _records(path, object_pairs_hook=None):
     """Yield (line number, JSON value) for each non-blank line of a file.
 
-    Lines are stripped before they are decoded. Undecodable bytes are read
-    as escapes, so a line that is not UTF-8 or not JSON is a ``ParseError``
-    with its number, and so are a leading byte-order mark, an integer too
-    long to convert and a ``DuplicateKey`` from ``object_pairs_hook``. One
-    decoder serves the whole file.
+    Lines end at ``\\n`` only: a lone ``\\r`` is JSON whitespace, and the
+    ``\\r`` of a CRLF line end goes when the line is stripped, before it
+    is decoded. Undecodable bytes are read as escapes, so a line that is
+    not UTF-8 or not JSON is a ``ParseError`` with its number, and so are
+    a leading byte-order mark, an integer too long to convert and a
+    ``DuplicateKey`` from ``object_pairs_hook``. One decoder serves the
+    whole file.
     """
     decode = json.JSONDecoder(object_pairs_hook=object_pairs_hook).decode
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -126,18 +137,182 @@ def _valid_points(pts) -> bool:
 
 
 def serialize_trajectories(store: TrajectoryStore, path) -> None:
-    """Write a store as a trajectory file, one record per track in id order."""
+    """Write a store as a trajectory file, one record per track in id order.
+
+    Each line is what ``json.dumps`` with separators ``(",", ":")`` writes
+    for the record, byte for byte. Whole tracks are formatted together, in
+    chunks of at most about ``_CHUNK_POINTS`` points (``_points_text``),
+    and each track's text is joined with its head and tail.
+    """
     width, height = store.frame_size
     ids, starts, ends = store.frame_spans
-    first = store.point_rows[1]
-    tracks = zip(ids.tolist(), starts.tolist(), first.tolist(), (first + ends - starts).tolist())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dump({"frames": store.n_frames_total, "width": width, "height": height}))
-        f.write("\n")
-        for tid, start, lo, hi in tracks:
-            rec = {"id": tid, "start": start, "points": store.points[lo:hi].tolist()}
-            f.write(_dump(rec))
-            f.write("\n")
+    first, lengths = store.point_rows[1], ends - starts
+    with open(path, "wb") as f:
+        f.write(_dump({"frames": store.n_frames_total, "width": width, "height": height}).encode())
+        f.write(b"\n")
+        for lo, hi in _chunks(lengths.tolist()):
+            n = lengths[lo:hi]
+            track_ends = np.cumsum(n)
+            # The chunk's rows, track after track: row j of track i is first[i] + j.
+            rows = np.repeat(first[lo:hi] - (track_ends - n), n) + np.arange(track_ends[-1])
+            text, point_ends = _points_text(store.points[rows])
+            # A track's text ends in its last point's ``],[``, which its tail replaces.
+            cuts = [0, *point_ends[track_ends - 1].tolist()]
+            heads = zip(ids[lo:hi].tolist(), starts[lo:hi].tolist())
+            for (tid, start), a, b in zip(heads, cuts, cuts[1:]):
+                f.write(f'{{"id":{tid},"start":{start},"points":[['.encode())
+                f.write(text[a : b - 3])
+                f.write(b"]]}\n")
+
+
+# The writer formats whole tracks, at most about this many points at a
+# time, and the bulk decoder reads whole lines in chunks of about this many
+# bytes: a whole file at once would hold several arrays the size of its text.
+_CHUNK_POINTS = 1 << 13
+_CHUNK_BYTES = 1 << 17
+
+
+def _chunks(lengths: list[int]):
+    """(lo, hi) ranges of tracks, each range's tracks together at most
+    ``_CHUNK_POINTS`` points long, or one track when that track is longer."""
+    lo = size = 0
+    for i, n in enumerate(lengths):
+        if size and size + n > _CHUNK_POINTS:
+            yield lo, i
+            lo, size = i, 0
+        size += n
+    if size:
+        yield lo, len(lengths)
+
+
+_POW10_FLOAT = np.array([float(10**k) for k in range(18)])  # exact doubles
+_POW10_LONG = _POW10_FLOAT.astype(np.longdouble)
+# The four digits of 0..9999 in ASCII, each entry read as one 4-byte word.
+_QUADS = np.frombuffer(b"0123456789", dtype=np.uint8)
+_QUADS = np.stack(np.meshgrid(*[_QUADS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+# Row m keeps the last m of 16 bytes and blanks the rest to NUL, as two 8-byte words.
+_LAST = np.array([bytes(16 - m) + b"\xff" * m for m in range(17)]).view(np.uint64).reshape(17, 2)
+
+
+def _last_digits(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The last ``m`` of the 16 decimal digits of each int64 in [0, 10**16), as
+    ASCII right-aligned in 16 bytes, leading zeros kept; the other bytes are NUL."""
+    quads = np.empty((len(v), 4), dtype=np.int64)
+    high, low = np.divmod(v, 10**8)
+    np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
+    np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
+    words = _QUADS.take(quads).view(np.uint64) & _LAST.take(m, axis=0)
+    return words.view(np.uint8)
+
+
+def _shortest_digits(x: np.ndarray):
+    """The shortest round-trip digits of each double, where they can be vouched for.
+
+    ``x`` holds doubles in [1, 10**15). The decimals that read back to
+    such a double lie within half a unit in its last place on either
+    side, so if any decimal of ``p`` significant digits reads back, the
+    nearest one does (``_nearest``). (Below a power of two the interval
+    is half as wide, but such an ``x`` is a whole number below 2**50: its
+    own digits read back, and its interval, narrower than 1, holds no
+    shorter decimal.) The shortest digits, which ``repr`` writes, are
+    those of the least ``p`` that reads back. Every ``x`` tries 16
+    digits; one that reads back tries 15 and then 14, and one that does
+    not takes 17, which always read back.
+
+    Returns the digits ``D`` (int64), the number of integer digits ``e``
+    and the number of fraction digits ``k``, so that the decimal is
+    ``D / 10**k``, and whether the digits are vouched for. They are not
+    when 14 digits read back (a shorter form may too, and is not sought),
+    or where ``_nearest`` is unsure.
+    """
+    e = np.searchsorted(_POW10_FLOAT[1:16], x, side="right") + 1
+    xl = x.astype(np.longdouble)
+    digits, reads, unsure = _nearest(x, xl, e, 16)
+    n_digits = np.full(len(x), 16)
+    vouched = ~unsure
+    longer = np.flatnonzero(~reads)
+    d, reads_17, unsure = _nearest(x[longer], xl[longer], e[longer], 17)
+    digits[longer], n_digits[longer] = d, 17
+    vouched[longer] &= reads_17 & ~unsure
+    rows = np.flatnonzero(reads)
+    d, shorter, unsure = _nearest(x[rows], xl[rows], e[rows], 15)
+    vouched[rows] &= ~unsure
+    rows = rows[shorter]
+    digits[rows], n_digits[rows] = d[shorter], 15
+    _, shorter, unsure = _nearest(x[rows], xl[rows], e[rows], 14)
+    vouched[rows] &= ~(unsure | shorter)
+    # Digits that are not vouched for go unused; they are zeroed before the cast.
+    digits = np.where(vouched, digits, 0).astype(np.int64)
+    return digits, e, n_digits - e, vouched
+
+
+def _nearest(x: np.ndarray, xl: np.ndarray, e: np.ndarray, p: int):
+    """The nearest ``p``-digit decimal to each ``x``, whether it reads back, and if that is unsure.
+
+    ``xl`` is ``x`` in long double and ``e`` its number of integer digits.
+    The decimal is ``D / 10**k`` with ``k = p - e``, at least -1, and
+    ``D`` the integer nearest ``x * 10**k`` (``x / 10`` where ``k`` is
+    -1), found in long double. The product is then within its own
+    ``2**-64`` of the exact one, so ``D`` is right unless the product lies
+    within its ``2**-62`` of a half; that is flagged as unsure. ``D`` reads
+    back when the decimal is found to be ``x`` as the bulk decoder finds
+    it: by one double division where ``D`` is below ``2**53``, so that
+    both operands are exact doubles, and else by a long double division
+    rounded to double. That is correctly rounded unless the long double
+    lies halfway between two doubles, which is flagged as unsure too.
+    (Once ``D`` passes ``2**53`` the unit of its last digit is below the
+    spacing of the doubles near ``x``, so the nearest decimal lies well
+    inside the interval that reads back to ``x`` and no midpoint is
+    found; the check does not rest on that.)
+    """
+    k = p - e
+    scaled = np.where(k >= 0, xl * _POW10_LONG.take(np.maximum(k, 0)), xl / 10)
+    d = np.rint(scaled)
+    # ``scaled - d`` is exact; doubles suffice to compare it with the margin.
+    unsure = np.abs((scaled - d).astype(np.float64)) >= 0.5 - scaled.astype(np.float64) * 2.0**-62
+    plain = d.astype(np.float64)
+    reads = np.where(k >= 0, plain / _POW10_FLOAT.take(np.maximum(k, 0)), plain * 10) == x
+    big = np.flatnonzero(d >= 2.0**53)  # here k is at least 0
+    rounded, midpoint = _to_double(d[big] / _POW10_LONG.take(k[big]))
+    reads[big] = rounded == x[big]
+    unsure[big] |= midpoint
+    return d, reads, unsure
+
+
+def _points_text(points: np.ndarray) -> tuple[memoryview, np.ndarray]:
+    """The text ``X,Y],[`` of each (M, 2) point, run together, and where each point's text ends.
+
+    Each coordinate is written as ``repr`` writes it, in its shortest
+    round-trip digits. A coordinate that ``_shortest_digits`` vouches for
+    is laid out from its digits in a row of 33 bytes, 16 for the integer
+    part, the dot and 16 for the fraction, and every other one is copied
+    from ``repr``. Bytes that hold no character are NUL, so one mask
+    flattens the rows.
+    """
+    x = points.ravel()
+    # Coordinates below 1 (``repr`` may write an exponent there) and at or
+    # above 10**15 go to ``repr``, and so does every coordinate where long
+    # double cannot check the digits.
+    rows = np.flatnonzero((x >= 1) & (x < 1e15) & _EXACT_DIVISION)
+    digits = np.zeros(len(x), dtype=np.int64)
+    e, k, bulk = np.ones_like(digits), np.zeros_like(digits), np.zeros(len(x), dtype=bool)
+    digits[rows], e[rows], k[rows], bulk[rows] = _shortest_digits(x[rows])
+    whole = digits // _POW10[k]
+    # A whole number keeps one fraction digit, its ``.0``.
+    shown = np.maximum(k, 1)
+    cells = np.empty((len(x), 36), dtype=np.uint8)
+    cells[:, :16] = _last_digits(whole, e)
+    cells[:, 16] = ord(".")
+    cells[:, 17:33] = _last_digits(digits - whole * _POW10[k], shown)
+    cells[0::2, 33:] = np.frombuffer(b",\0\0", dtype=np.uint8)
+    cells[1::2, 33:] = np.frombuffer(b"],[", dtype=np.uint8)
+    lengths = e + 1 + shown
+    rest = np.flatnonzero(~bulk)
+    texts = list(map(repr, x[rest].tolist()))
+    cells[rest, :33] = np.array(texts, dtype="S33").view(np.uint8).reshape(-1, 33)
+    lengths[rest] = list(map(len, texts))
+    point_ends = np.cumsum(lengths[0::2] + lengths[1::2] + 4)
+    return memoryview(cells[cells != 0]), point_ends
 
 
 def parse_trajectories(path) -> TrajectoryStore:
@@ -253,10 +428,6 @@ def _parse_record(rec: dict, lineno: int, coords: array) -> tuple[int, int, bool
     return tid, start, False
 
 
-# The bulk decoder reads whole lines in chunks of about this many bytes:
-# decoding a whole file at once holds several arrays the size of its text.
-_CHUNK_BYTES = 1 << 17
-
 # The bulk decoder divides in long double and rounds the quotient to a
 # double. That gives the correctly rounded double, once the quotients that
 # fall on a midpoint between two doubles are redone, when long double
@@ -339,15 +510,9 @@ def _decode_compact(path) -> TrajectoryStore | None:
 
 
 def _compact_header(line: bytes) -> tuple[int, int, int] | None:
-    """The header of the first line, when the line-by-line reader would read it alike.
-
-    A carriage return would end a line there, so a line holding one is
-    left to that reader, and so is any line that is not a valid header.
-    """
+    """The header of the first line, or None when it is not a valid ASCII header."""
     try:
         text = line.decode("ascii")
-        if "\r" in text:
-            return None
         rec = json.loads(text, object_pairs_hook=unique_keys)
         if type(rec) is not dict:
             return None
@@ -405,17 +570,24 @@ def _decode_chunk(chunk: bytes):
     if (digits[~in_points] > 18).any() or (whole >= _POW10[18 - k]).any():
         return None
     scale = _POW10[k]
-    exact = (whole * scale + (frac - scale)).astype(np.longdouble) / scale
-    values = exact.astype(np.float64)
-    # A long double halfway between two doubles lies half their gap from
-    # ``values``, or a quarter of ``np.spacing`` below a power of two. That
-    # distance is a power of two, which the cast to double keeps exactly.
-    # A long double that is only near a midpoint may be flagged as well.
-    off = np.abs((exact - values).astype(np.float64)) / np.spacing(values)
-    tie = np.flatnonzero((off == 0.5) | (off == 0.25))
+    values, midpoint = _to_double((whole * scale + (frac - scale)).astype(np.longdouble) / scale)
+    tie = np.flatnonzero(midpoint)
     texts = (f"{w}.{str(f)[1:]}" for w, f in zip(whole[tie].tolist(), frac[tie].tolist()))
     values[tie] = [float(t) for t in texts]
     return tokens[heads], tokens[heads + 1], counts, values.reshape(-1, 2)
+
+
+def _to_double(exact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Long doubles rounded to doubles, and which of them lie halfway between two doubles.
+
+    A midpoint lies half their gap from the rounded value, or a quarter of
+    ``np.spacing`` below a power of two. That distance is a power of two,
+    which the cast to double keeps exactly. A long double that is only
+    near a midpoint may be flagged as well.
+    """
+    values = exact.astype(np.float64)
+    off = np.abs((exact - values).astype(np.float64)) / np.spacing(values)
+    return values, (off == 0.5) | (off == 0.25)
 
 
 @dataclass(frozen=True)

@@ -539,6 +539,18 @@ def _oracle_parse_record(rec: dict, lineno: int, header, seen: set) -> Trajector
     return Trajectory(tid, start, arr)
 
 
+def oracle_serialize_trajectories(store: TrajectoryStore, path) -> None:
+    """The trajectory writer before it formatted in bulk: one ``json.dumps``
+    per record, so every coordinate is written by ``float.__repr__``."""
+    width, height = store.frame_size
+    header = {"frames": store.n_frames_total, "width": width, "height": height}
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for t in sorted(store.trajectories, key=lambda t: t.id):
+            rec = {"id": t.id, "start": t.start_frame, "points": t.points.tolist()}
+            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+
+
 def oracle_store_check(trajectories, n_frames_total: int, frame_size) -> None:
     """``TrajectoryStore``'s former per-track checks: ids, end frames, bounds."""
     width, height = frame_size

@@ -167,7 +167,8 @@ class TestAgainstLineReader:
             pytest.param(_edited("0.0", "-0.0"), False, id="negative-zero"),
             pytest.param(_edited("}", ',"note":"\u00e9"}'), False, id="non-ascii"),
             pytest.param("\ufeff" + HEADER + GOOD, False, id="byte-order-mark"),
-            pytest.param(HEADER.replace(",", ",\r") + GOOD, False, id="header-cr"),
+            # A lone carriage return is whitespace to both readers.
+            pytest.param(HEADER.replace(",", ",\r") + GOOD, True, id="header-cr"),
             pytest.param(HEADER.replace("4", "1") + GOOD, False, id="bad-header"),
             pytest.param(HEADER + GOOD + GOOD, False, id="duplicate-id"),
             pytest.param(_edited("100.0", "100.5"), False, id="outside"),

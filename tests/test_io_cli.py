@@ -105,6 +105,24 @@ class TestTrajectoryFile:
             store.by_id[0].points, [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
         )
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_a_lone_carriage_return_is_whitespace(self, tmp_path, end):
+        # Lines end at "\n" only; inside a record, "\r" is JSON whitespace.
+        path = tmp_path / "t.jsonl"
+        header = '{"frames":3,"width":10,"height":10}'
+        record = '{"id":0,"start":0,\r"points":[[1.5,2.5],[3.5,4.5]]}'
+        path.write_bytes((header + end + record + end).encode())
+        assert parse_trajectories(path).points.tolist() == [[1.5, 2.5], [3.5, 4.5]]
+
+    def test_a_lone_carriage_return_starts_no_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"frames":3,\r"width":10,"height":10}\n{"id":0,"start":0,"points":[[1.5,2.5]]}\n'
+        )
+        with pytest.raises(ParseError, match="'points'") as info:
+            parse_trajectories(path)
+        assert info.value.line == 2
+
     def test_frame_overrun_is_bounds_error(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(
@@ -256,6 +274,15 @@ class TestLabelFile:
         assert rng_0 == results[0].block.frame_range
         assert labels_0 == results[0].labels
         assert path.read_text().splitlines()[-1].endswith(',"foreground_cluster":1}')
+
+    def test_a_lone_carriage_return_is_whitespace(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_bytes(
+            b'{"type":"block",\r"range":[0,3],"labels":{"0":1}}\r\n'
+            b'{"type":"fused",\r"labels":{"0":1}}\r\n'
+        )
+        data = parse_labels(path)
+        assert (data.blocks, data.fused) == ((((0, 3), {0: 1}),), {0: 1})
 
     @pytest.mark.parametrize("rng", [[5, 2], [4, 4], [-3, 4]])
     def test_bad_block_range(self, tmp_path, rng):
