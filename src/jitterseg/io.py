@@ -14,8 +14,10 @@ what ``json.dumps`` with separators ``(",", ":")`` writes, so every
 coordinate has the shortest digits that read back to it, as ``repr``
 prints them. The writer finds those digits in bulk, for whole tracks a
 chunk at a time, in long double, and checks them by reading them back
-as the bulk decoder does; what it cannot vouch for, and everything
-where long double is not x87 extended precision, ``repr`` writes.
+with a correctly rounded division, which gives the double that the
+bulk decoder and ``float`` give; what it cannot vouch for, and
+everything where long double is not x87 extended precision, ``repr``
+writes.
 
 A file in the compact form is decoded in bulk, a chunk of lines at a
 time, by integer scanning and one correctly rounded division per
@@ -255,11 +257,14 @@ def _nearest(x: np.ndarray, xl: np.ndarray, e: np.ndarray, p: int):
     -1), found in long double. The product is then within its own
     ``2**-64`` of the exact one, so ``D`` is right unless the product lies
     within its ``2**-62`` of a half; that is flagged as unsure. ``D`` reads
-    back when the decimal is found to be ``x`` as the bulk decoder finds
-    it: by one double division where ``D`` is below ``2**53``, so that
-    both operands are exact doubles, and else by a long double division
-    rounded to double. That is correctly rounded unless the long double
-    lies halfway between two doubles, which is flagged as unsure too.
+    back when the correctly rounded double of the decimal is ``x``. Where
+    ``D`` is below ``2**53`` that double is one double division, as both
+    operands are exact doubles; else it is a long double division rounded
+    to double, which is correctly rounded unless the long double lies
+    halfway between two doubles, and that is flagged as unsure too. The
+    bulk decoder (``_decode_chunk``) divides every coordinate in long
+    double, rounds it with ``_to_double`` and converts the midpoints with
+    ``float``; both ways round correctly, so they give the same double.
     (Once ``D`` passes ``2**53`` the unit of its last digit is below the
     spacing of the doubles near ``x``, so the nearest decimal lies well
     inside the interval that reads back to ``x`` and no midpoint is

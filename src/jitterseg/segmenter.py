@@ -389,7 +389,7 @@ def partition_blocks(store: TrajectoryStore, params: SegmenterParams) -> list[Bl
 
 def select_representatives(
     store: TrajectoryStore, block: Block, params: SegmenterParams
-) -> list[int]:
+) -> np.ndarray:
     """One spanning trajectory per occupied grid cell of the block's first frame.
 
     The spanning trajectories are the store's tracks that start by the
@@ -400,13 +400,14 @@ def select_representatives(
     (centered norm below ``DEGENERACY_EPS``) has no shape and is never
     chosen; its cell goes to the next-nearest one. A block shorter than
     ``MIN_SHAPE_FRAMES`` has no representatives: any two points have the
-    same shape, so rounding would decide the split. Ids are returned in
-    ascending order; fewer than ``MIN_REPRESENTATIVES`` raise
+    same shape, so rounding would decide the split. Returns the chosen
+    rows of ``store.frame_spans`` as an ascending int64 array, so they run
+    in id order; fewer than ``MIN_REPRESENTATIVES`` raise
     ``TooFewRepresentatives``.
     """
-    ids, starts, ends = store.frame_spans
+    _, starts, ends = store.frame_spans
     k = np.flatnonzero((starts <= block.start) & (ends >= block.end))
-    reps: list[int] = []
+    reps = k[:0]
     if k.size and block.length >= MIN_SHAPE_FRAMES:
         width, height = store.frame_size
         g = params.grid_cells
@@ -422,7 +423,7 @@ def select_representatives(
         order = np.lexsort((k, d2, cell))  # k runs in id order
         first = np.ones(order.size, dtype=bool)
         first[1:] = cell[order][1:] != cell[order][:-1]
-        reps = sorted(ids[k[order[first]]].tolist())
+        reps = np.sort(k[order[first]])
     if len(reps) < MIN_REPRESENTATIVES:
         raise TooFewRepresentatives(
             f"{len(reps)} representatives in block {block.frame_range}, "
@@ -437,14 +438,15 @@ def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams)
     One pass: the representatives' pairwise Procrustes affinity is
     spectrally clustered, each cluster is aligned to its GPA mean, and
     every qualifying non-representative is labeled by its nearest mean.
-    The representatives are one (K, N) complex pre-shape stack.
+    The representatives are one (K, N) complex pre-shape stack, gathered
+    by their store rows; their ids are taken once, for the labels.
     """
     reps = select_representatives(store, block, params)
-    k = np.searchsorted(store.frame_spans[0], reps)
-    z = project_rows(store.windows(k, block.start, block.end)[0])
+    z = project_rows(store.windows(reps, block.start, block.end)[0])
     assignment = spectral_cluster(build_affinity(z, params.omega))
     means = tuple(gpa_align(z, assignment.members(c)).mean for c in (0, 1))
-    result = BlockResult(block, dict(zip(reps, assignment.labels)), means)
+    labels = dict(zip(store.frame_spans[0][reps].tolist(), assignment.labels))
+    result = BlockResult(block, labels, means)
     return replace(result, labels=assign_stragglers(result, store, block, params))
 
 

@@ -255,14 +255,15 @@ def oracle_representatives(store, block, params) -> list[int]:
 def oracle_segment_block(store, block, params, *, rounds: int, jacobi_iters: int) -> BlockResult:
     """``segment_block`` as its former multi-round, per-member loop.
 
-    The representatives are those of ``select_representatives``. Each is
-    its own ``PreShape``. Every one of ``rounds`` rounds clusters them,
-    aligns each cluster with GPA, smooths its mean with ``stabilize_mean``
+    The representatives are those of ``select_representatives``, whose
+    store rows are turned into ids here. Each is its own ``PreShape``.
+    Every one of ``rounds`` rounds clusters them, aligns each cluster
+    with GPA, smooths its mean with ``stabilize_mean``
     (weight ``params.lam``, ``jacobi_iters`` sweeps), rebuilds every member
     with ``back_transform`` and re-projects it; the last round's smoothed
     means label the stragglers through ``oracle_assign_stragglers``.
     """
-    reps = select_representatives(store, block, params)
+    reps = store.frame_spans[0][select_representatives(store, block, params)].tolist()
     shapes = []
     for r in reps:
         t = store.by_id[r]

@@ -63,6 +63,11 @@ def _staggered_store(rng, n=50, n_frames=80):
     return TrajectoryStore(tuple(trajs), n_frames, FRAME)
 
 
+def _rep_ids(store, block, params):
+    """The ids of ``select_representatives``' rows, in ascending order."""
+    return store.frame_spans[0][select_representatives(store, block, params)].tolist()
+
+
 def _oracle_partition(store, params):
     """Exhaustive re-derivation of the greedy maximal valid blocks.
 
@@ -100,7 +105,7 @@ class TestPartitionBlocks:
         # 10-px cells give each of the ten tracks a cell of its own, so all
         # of them span the block and represent it.
         fine = SegmenterParams(grid_cells=64)
-        assert select_representatives(store, blocks[0], fine) == list(range(10))
+        assert _rep_ids(store, blocks[0], fine) == list(range(10))
 
     def test_boundary_forced_by_spanning_rule(self):
         # Of the 100 trajectories alive at frame 0, only 5 continue past
@@ -135,7 +140,7 @@ class TestPartitionBlocks:
         assert [b.frame_range for b in blocks] == ranges
         fine = SegmenterParams(grid_cells=64)  # 10-px cells: every track represents
         for b in blocks:
-            assert select_representatives(store, b, fine) == list(range(10))
+            assert _rep_ids(store, b, fine) == list(range(10))
 
     def test_short_tail_stays_when_too_few_span_it(self):
         # Only 1 of 20 tracks reaches frame 62, below the 10% rule, so the
@@ -222,7 +227,12 @@ class TestSelectRepresentatives:
             with pytest.raises(TooFewRepresentatives, match=f"^{len(expected)} representatives"):
                 select_representatives(store, block, params)
         else:
-            assert select_representatives(store, block, params) == expected
+            rows = select_representatives(store, block, params)
+            # Rows of ``frame_spans``: int64, ascending, each spanning the block.
+            assert rows.dtype == np.int64 and (np.diff(rows) > 0).all()
+            _, starts, ends = store.frame_spans
+            assert (starts[rows] <= block.start).all() and (ends[rows] >= block.end).all()
+            assert store.frame_spans[0][rows].tolist() == expected
 
     def test_spanning_tracks_come_from_the_store(self):
         # Track 999 covers only frames [10, 20). A block that listed it
@@ -233,7 +243,7 @@ class TestSelectRepresentatives:
         store = TrajectoryStore(scene.store.trajectories + (extra,), 30, scene.store.frame_size)
         block, params = Block(0, 30), SegmenterParams()
         assert set(segment_block(store, block, params).labels) <= set(store.by_id)
-        reps = select_representatives(store, block, params)
+        reps = _rep_ids(store, block, params)
         assert all(store.by_id[r].start_frame <= 0 and store.by_id[r].end_frame >= 30 for r in reps)
         assert reps == oracle_representatives(store, block, params)
 
@@ -245,7 +255,7 @@ class TestSelectRepresentatives:
         store = TrajectoryStore(trajs, 20, FRAME)
         params = SegmenterParams()
         block = partition_blocks(store, params)[0]
-        assert select_representatives(store, block, params) == list(range(8))
+        assert _rep_ids(store, block, params) == list(range(8))
 
     def test_nearest_center_wins(self):
         center = _track(0, 0, 20, x0=20.0, y0=11.25)  # exact center of cell (0, 0)
@@ -254,7 +264,7 @@ class TestSelectRepresentatives:
         store = TrajectoryStore((center, off) + others, 20, FRAME)
         params = SegmenterParams()
         block = partition_blocks(store, params)[0]
-        reps = select_representatives(store, block, params)
+        reps = _rep_ids(store, block, params)
         assert 0 in reps and 1 not in reps
 
     def test_matches_independent_reimplementation(self):
@@ -262,7 +272,7 @@ class TestSelectRepresentatives:
         store = _staggered_store(rng, n=80)
         params = SegmenterParams(grid_cells=12)
         block = partition_blocks(store, params)[0]
-        reps = select_representatives(store, block, params)
+        reps = _rep_ids(store, block, params)
 
         w, h = store.frame_size
         cw, ch = w / 12, h / 12
@@ -291,7 +301,7 @@ class TestSelectRepresentatives:
         store = TrajectoryStore((still, near) + others, 20, FRAME)
         params = SegmenterParams()
         block = partition_blocks(store, params)[0]
-        assert select_representatives(store, block, params) == [1, 2, 3, 4]
+        assert _rep_ids(store, block, params) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("jitter", [0.0, 1e-3])
     def test_motionless_track_does_not_stop_the_run(self, jitter):
@@ -314,7 +324,7 @@ class TestSelectRepresentatives:
         store = TrajectoryStore(tuple(_track(i, 0, 20, x0=40.0 * i + 5.0) for i in range(8)), 20, FRAME)
         block = Block(17, 17 + length)
         if length == 3:
-            assert select_representatives(store, block, SegmenterParams()) == list(range(8))
+            assert _rep_ids(store, block, SegmenterParams()) == list(range(8))
         else:
             with pytest.raises(TooFewRepresentatives, match="^0 representatives"):
                 select_representatives(store, block, SegmenterParams())
@@ -353,7 +363,7 @@ class TestSegmentBlock:
         params = SegmenterParams(max_block_len=40)
         block = partition_blocks(store, params)[0]
         result = segment_block(store, block, params)
-        reps = select_representatives(store, block, params)
+        reps = _rep_ids(store, block, params)
         assert set(reps) <= set(result.labels)
         for tid in result.labels:
             t = store.by_id[tid]

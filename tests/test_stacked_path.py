@@ -167,7 +167,12 @@ class TestStragglersOracle:
 
 @st.composite
 def block_cases(draw, frames=(8, 36), block_lens=(60,)):
-    """A seeded store, its params, and the oracle's round and sweep counts."""
+    """A seeded store, its params, and the oracle's round and sweep counts.
+
+    The ids may be relabeled by a sparse, strictly increasing map that
+    takes about half of them below zero, so that store rows and ids
+    differ while the id order, and with it every label, stays the same.
+    """
     seed = draw(st.integers(0, 2**16))
     n_frames = draw(st.integers(*frames))
     scene = generate_scene(
@@ -190,6 +195,10 @@ def block_cases(draw, frames=(8, 36), block_lens=(60,)):
     if draw(st.booleans()):
         still = np.tile(trajs[0].points[0], (n_frames - trajs[0].start_frame, 1))
         trajs.append(Trajectory(10_000, trajs[0].start_frame, still))
+    if draw(st.booleans()):
+        new = np.cumsum(rng.integers(1, 10**9, size=len(trajs)))
+        to_new = dict(zip(sorted(t.id for t in trajs), (new - new[len(new) // 2]).tolist()))
+        trajs = [Trajectory(to_new[t.id], t.start_frame, t.points) for t in trajs]
     store = TrajectoryStore(tuple(trajs), n_frames, FRAME)
     rounds = draw(st.sampled_from([2, 3, 1]))
     lam = draw(st.sampled_from([0.0, 0.2, 0.6, 5.0]))
