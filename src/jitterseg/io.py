@@ -13,20 +13,20 @@ every record coordinate in plain decimals. Each line is byte for byte
 what ``json.dumps`` with separators ``(",", ":")`` writes, so every
 coordinate has the shortest digits that read back to it, as ``repr``
 prints them. The writer finds those digits in bulk, for whole tracks a
-chunk at a time, in long double, and checks them by reading them back
-with a correctly rounded division, which gives the double that the
-bulk decoder and ``float`` give; what it cannot vouch for, and
+chunk at a time, in long double; what it cannot vouch for, and
 everything where long double is not x87 extended precision, ``repr``
 writes.
 
 A file in the compact form is decoded in bulk, a chunk of lines at a
-time, by integer scanning and one correctly rounded division per
-coordinate. Any other valid layout (spaces, exponents, integer
-coordinates, blank lines, CRLF line ends), and any input that can be
-read only once, such as a pipe, is read line by line, which gives the
-same store, and every fault is reported by that reader, with the same
-error and line number. Lines end at ``\\n`` only; a lone ``\\r`` is
-whitespace.
+time, by integer scanning. One exact conversion (``_decimal``) turns
+decimal digits into the correctly rounded double, as ``float`` does,
+for both directions: the decoder reads each coordinate with it, and the
+writer reads its digits back with it to check them. Any other valid
+layout (spaces, exponents, integer coordinates, blank lines, CRLF line
+ends), and any input that can be read only once, such as a pipe, is
+read line by line, which gives the same store, and every fault is
+reported by that reader, with the same error and line number. Lines
+end at ``\\n`` only; a lone ``\\r`` is whitespace.
 
 A label file holds an optional ``params`` record (the complete effective
 parameter set of the run), one ``block`` record per processed block
@@ -187,13 +187,41 @@ def _chunks(lengths: list[int]):
         yield lo, len(lengths)
 
 
-_POW10_FLOAT = np.array([float(10**k) for k in range(18)])  # exact doubles
-_POW10_LONG = _POW10_FLOAT.astype(np.longdouble)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
+# Exact in both: 10**k is 5**k times a power of two, and 5**18 < 2**53.
+_POW10_FLOAT, _POW10_LONG = _POW10.astype(np.float64), _POW10.astype(np.longdouble)
 # The four digits of 0..9999 in ASCII, each entry read as one 4-byte word.
 _QUADS = np.frombuffer(b"0123456789", dtype=np.uint8)
 _QUADS = np.stack(np.meshgrid(*[_QUADS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 # Row m keeps the last m of 16 bytes and blanks the rest to NUL, as two 8-byte words.
 _LAST = np.array([bytes(16 - m) + b"\xff" * m for m in range(17)]).view(np.uint64).reshape(17, 2)
+
+
+def _decimal(digits: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The correctly rounded double of each ``digits / 10**k``, for int64
+    ``digits >= 0`` and ``0 <= k <= 18``.
+
+    This is the one conversion of decimal digits to doubles: the bulk
+    decoder reads coordinates with it and the writer checks its digits
+    with it. Below ``2**53`` the digits and ``10**k`` are exact doubles,
+    so one double division rounds correctly (Clinger's fast path, which
+    holds up to ``10**22``). Larger digits are divided in long double,
+    where both are exact and the quotient is rounded once, to 64 bits;
+    that rounded to double is the correctly rounded double unless it lies
+    halfway between two doubles. A midpoint lies half their gap from the
+    rounded value, or a quarter of ``np.spacing`` below a power of two, a
+    distance that is a power of two and that the cast to double keeps
+    exactly. Those quotients, and the few that are only near a midpoint
+    and flagged with them, are converted by ``float``.
+    """
+    values = digits / _POW10_FLOAT.take(k)
+    big = np.flatnonzero(digits >= 2**53)
+    exact = digits[big].astype(np.longdouble) / _POW10_LONG.take(k[big])
+    rounded = values[big] = exact.astype(np.float64)
+    off = np.abs((exact - rounded).astype(np.float64)) / np.spacing(rounded)
+    tie = big[(off == 0.5) | (off == 0.25)]
+    values[tie] = [float(f"{d}e-{n}") for d, n in zip(digits[tie].tolist(), k[tie].tolist())]
+    return values
 
 
 def _last_digits(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -219,13 +247,15 @@ def _shortest_digits(x: np.ndarray):
     shorter decimal.) The shortest digits, which ``repr`` writes, are
     those of the least ``p`` that reads back. Every ``x`` tries 16
     digits; one that reads back tries 15 and then 14, and one that does
-    not takes 17, which always read back.
+    not takes 17, which always read back. Digits read back as the bulk
+    decoder reads them, by ``_decimal``, which rounds correctly, so the
+    decoder and ``float`` read the written text as ``x``.
 
     Returns the digits ``D`` (int64), the number of integer digits ``e``
     and the number of fraction digits ``k``, so that the decimal is
     ``D / 10**k``, and whether the digits are vouched for. They are not
     when 14 digits read back (a shorter form may too, and is not sought),
-    or where ``_nearest`` is unsure.
+    or where ``_nearest`` is unsure of its product.
     """
     e = np.searchsorted(_POW10_FLOAT[1:16], x, side="right") + 1
     xl = x.astype(np.longdouble)
@@ -243,8 +273,8 @@ def _shortest_digits(x: np.ndarray):
     digits[rows], n_digits[rows] = d[shorter], 15
     _, shorter, unsure = _nearest(x[rows], xl[rows], e[rows], 14)
     vouched[rows] &= ~(unsure | shorter)
-    # Digits that are not vouched for go unused; they are zeroed before the cast.
-    digits = np.where(vouched, digits, 0).astype(np.int64)
+    # Digits that are not vouched for go unused; they are zeroed.
+    digits = np.where(vouched, digits, 0)
     return digits, e, n_digits - e, vouched
 
 
@@ -257,30 +287,17 @@ def _nearest(x: np.ndarray, xl: np.ndarray, e: np.ndarray, p: int):
     -1), found in long double. The product is then within its own
     ``2**-64`` of the exact one, so ``D`` is right unless the product lies
     within its ``2**-62`` of a half; that is flagged as unsure. ``D`` reads
-    back when the correctly rounded double of the decimal is ``x``. Where
-    ``D`` is below ``2**53`` that double is one double division, as both
-    operands are exact doubles; else it is a long double division rounded
-    to double, which is correctly rounded unless the long double lies
-    halfway between two doubles, and that is flagged as unsure too. The
-    bulk decoder (``_decode_chunk``) divides every coordinate in long
-    double, rounds it with ``_to_double`` and converts the midpoints with
-    ``float``; both ways round correctly, so they give the same double.
-    (Once ``D`` passes ``2**53`` the unit of its last digit is below the
-    spacing of the doubles near ``x``, so the nearest decimal lies well
-    inside the interval that reads back to ``x`` and no midpoint is
-    found; the check does not rest on that.)
+    back when ``_decimal``, the conversion the bulk decoder reads it with,
+    gives ``x`` for it (for ``D * 10`` with no fraction digit where ``k``
+    is -1).
     """
     k = p - e
     scaled = np.where(k >= 0, xl * _POW10_LONG.take(np.maximum(k, 0)), xl / 10)
     d = np.rint(scaled)
     # ``scaled - d`` is exact; doubles suffice to compare it with the margin.
     unsure = np.abs((scaled - d).astype(np.float64)) >= 0.5 - scaled.astype(np.float64) * 2.0**-62
-    plain = d.astype(np.float64)
-    reads = np.where(k >= 0, plain / _POW10_FLOAT.take(np.maximum(k, 0)), plain * 10) == x
-    big = np.flatnonzero(d >= 2.0**53)  # here k is at least 0
-    rounded, midpoint = _to_double(d[big] / _POW10_LONG.take(k[big]))
-    reads[big] = rounded == x[big]
-    unsure[big] |= midpoint
+    d = d.astype(np.int64)
+    reads = _decimal(np.where(k >= 0, d, d * 10), np.maximum(k, 0)) == x
     return d, reads, unsure
 
 
@@ -450,7 +467,6 @@ _DIGITS_ONLY = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
 # A record line without its digits: the head, one ``[x,y],`` per point
 # but the last, and the last point with the line's end.
 _HEAD, _POINT, _TAIL = b'{"id":,"start":,"points":[', b"[.,.],", b"[.,.]]}\n"
-_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
 
 
 def _decode_compact(path) -> TrajectoryStore | None:
@@ -543,10 +559,9 @@ def _decode_chunk(chunk: bytes):
     and integer parts have at most 18 digits, and a coordinate at most 18
     digits in all, so that its digits ``M = I * 10**k + F`` fit in 64 bits.
 
-    The coordinate is ``M / 10**k``, both exact in long double. Their
-    quotient rounded to long double and then to double is the correctly
-    rounded double unless the long double lies halfway between two
-    doubles; those few coordinates are converted by ``float`` instead.
+    The coordinate is the correctly rounded double of ``M / 10**k``
+    (``_decimal``, which the writer checks its digits with too), and ``k``
+    reaches 18 for ``0.`` and 18 fraction digits.
     """
     skeleton = chunk.translate(None, _DIGITS)
     two_points = len(_HEAD + _POINT + _TAIL) - 1  # a line of two points, without its newline
@@ -575,24 +590,8 @@ def _decode_chunk(chunk: bytes):
     if (digits[~in_points] > 18).any() or (whole >= _POW10[18 - k]).any():
         return None
     scale = _POW10[k]
-    values, midpoint = _to_double((whole * scale + (frac - scale)).astype(np.longdouble) / scale)
-    tie = np.flatnonzero(midpoint)
-    texts = (f"{w}.{str(f)[1:]}" for w, f in zip(whole[tie].tolist(), frac[tie].tolist()))
-    values[tie] = [float(t) for t in texts]
+    values = _decimal(whole * scale + (frac - scale), k)
     return tokens[heads], tokens[heads + 1], counts, values.reshape(-1, 2)
-
-
-def _to_double(exact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Long doubles rounded to doubles, and which of them lie halfway between two doubles.
-
-    A midpoint lies half their gap from the rounded value, or a quarter of
-    ``np.spacing`` below a power of two. That distance is a power of two,
-    which the cast to double keeps exactly. A long double that is only
-    near a midpoint may be flagged as well.
-    """
-    values = exact.astype(np.float64)
-    off = np.abs((exact - values).astype(np.float64)) / np.spacing(values)
-    return values, (off == 0.5) | (off == 0.25)
 
 
 @dataclass(frozen=True)

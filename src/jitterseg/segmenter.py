@@ -48,6 +48,7 @@ from .errors import (
     NoSharedTrajectories,
     NoValidBlock,
     TooFewRepresentatives,
+    UnknownId,
 )
 from .shapes import (
     DEGENERACY_EPS,
@@ -523,6 +524,7 @@ def _foreground_flip(result: BlockResult, store: TrajectoryStore) -> bool:
     infinite box.
     """
     frame, n = result.block.start, len(result.labels)
+    # ``fuse_blocks`` has checked that the store holds every id.
     k = np.searchsorted(store.frame_spans[0], np.fromiter(result.labels, dtype=np.int64, count=n))
     labels = np.fromiter(result.labels.values(), dtype=np.int64, count=n)
     z, alive = store.windows(k, frame, frame + 1)
@@ -543,13 +545,18 @@ def fuse_blocks(results: Sequence[BlockResult], store: TrajectoryStore) -> dict[
     normalized so the cluster with the smaller first-frame bounding box
     in its first block is reported as foreground (label 1). A trajectory
     labeled in several blocks gets its majority label, ties resolved to
-    the earliest block.
+    the earliest block. A label for an id the store lacks is
+    ``UnknownId``, raised for the first such id in block order.
     """
     if not results:
         raise InvalidParameter("need at least one block result")
+    known = set(store.frame_spans[0].tolist())
     for r in results:
         if any(v not in (0, 1) for v in r.labels.values()):
             raise InvalidParameter("fuse_blocks requires binary labels")
+        unknown = next((tid for tid in r.labels if tid not in known), None)
+        if unknown is not None:
+            raise UnknownId(f"block {r.block.frame_range} labels unknown trajectory id {unknown}")
 
     # One pass. ``rel`` is a block's flip relative to the head of its run
     # and ``run_flip`` the head's bounding-box flip; a block's labels are

@@ -253,3 +253,23 @@ def test_midpoint_decimals_round_as_float_does():
     assert (ids.tolist(), starts.tolist(), counts.tolist()) == ([0], [0], [len(texts)])
     want = np.array([[float(t), float(t)] for t in texts])
     assert values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("900719925.4740991", id="digits-2**53-1"),
+        pytest.param("900719925.4740992", id="digits-2**53"),
+        pytest.param("900719925.4740993", id="digits-2**53+1"),
+        pytest.param("0.999999999999999999", id="18-fraction-digits"),
+    ],
+)
+def test_fixed_decimals_read_as_float_and_the_line_reader_read_them(tmp_path, text):
+    # Where the digits pass 2**53 the decoder leaves one double division
+    # for long double, and 18 fraction digits are its largest power of ten.
+    line = f'{{"id":0,"start":0,"points":[[{text},{text}],[1.0,{text}]]}}\n'
+    *_, values = io._decode_chunk(line.encode())
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"frames":2,"width":1000000000,"height":1000000000}\n' + line)
+    want = np.array([[float(text), float(text)], [1.0, float(text)]])
+    assert values.tobytes() == want.tobytes() == io._parse_lines(path).points.tobytes()

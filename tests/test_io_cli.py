@@ -422,6 +422,23 @@ class TestCli:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["accuracy"] >= 0.9
 
+    def test_seed_and_lambda_change_no_label_line(self, tmp_path):
+        # The README scene: both values are recorded, and neither changes a label.
+        traj, _ = self._synth(tmp_path, 0.15, seed=7)
+        runs = (["--seed", "0"], ["--seed", "7"], ["--seed", "7", "--lambda", "0.6"])
+        records, lines = [], []
+        for i, extra in enumerate(runs):
+            out = tmp_path / f"labels_{i}.jsonl"
+            assert run_cli(["segment", "--input", str(traj), "--output", str(out), *extra]) == 0
+            head, *rest = out.read_text().splitlines()
+            records.append(json.loads(head)["params"])
+            lines.append(rest)
+        assert lines[0] == lines[1] == lines[2]
+        assert json.loads(lines[0][-1])["type"] == "fused"
+        assert [(r["seed"], r["lambda"]) for r in records] == [(0, 0.2), (7, 0.2), (7, 0.6)]
+        others = [{k: v for k, v in r.items() if k not in ("seed", "lambda")} for r in records]
+        assert others[0] == others[1] == others[2]
+
     def test_omega_zero_is_usage_error(self, tmp_path):
         traj, _ = self._synth(tmp_path, 0.0)
         code = run_cli(

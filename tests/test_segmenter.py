@@ -38,6 +38,7 @@ from jitterseg.errors import (
     NoSharedTrajectories,
     NoValidBlock,
     TooFewRepresentatives,
+    UnknownId,
 )
 
 FRAME = (640, 360)
@@ -605,6 +606,35 @@ class TestFuseBlocks:
         want = {0: 1, 1: 1, 2: 0, 3: 0, 4: 0, 5: 1}
         assert fuse_blocks([head, tail], store) == want
         assert oracle_fuse_blocks([head, tail], store) == want
+
+    @pytest.mark.parametrize(
+        "labels, unknown",
+        [
+            # Past the store's last id, a row lookup would index out of bounds.
+            pytest.param({0: 0, 10: 0, 20: 1, 40: 1}, 40, id="past-the-last-id"),
+            # Between two ids, it would take the next track's bounding box.
+            pytest.param({0: 1, 15: 1, 20: 0, 30: 0}, 15, id="between-two-ids"),
+        ],
+    )
+    def test_label_for_an_id_the_store_lacks_is_unknown(self, labels, unknown):
+        store = TrajectoryStore(
+            (
+                _track(0, 0, 20, 100.0, 100.0),
+                _track(10, 0, 20, 500.0, 300.0),
+                _track(20, 0, 20, 110.0, 105.0),
+                _track(30, 0, 20, 400.0, 50.0),
+            ),
+            20,
+            FRAME,
+        )
+        valid = BlockResult(Block(0, 10), {0: 0, 10: 0, 20: 1, 30: 1}, ())
+        message = rf"block \(\d+, \d+\) labels unknown trajectory id {unknown}$"
+        with pytest.raises(UnknownId, match=message):
+            fuse_blocks([BlockResult(Block(0, 10), labels, ())], store)
+        # A block that shares tracks with the one before it is checked too.
+        with pytest.raises(UnknownId, match=message):
+            fuse_blocks([valid, BlockResult(Block(10, 20), labels, ())], store)
+        assert fuse_blocks([valid], store) == {0: 0, 10: 0, 20: 1, 30: 1}
 
 
 class TestDeterminismAndStore:
