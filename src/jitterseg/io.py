@@ -13,9 +13,10 @@ every record coordinate in plain decimals. Each line is byte for byte
 what ``json.dumps`` with separators ``(",", ":")`` writes, so every
 coordinate has the shortest digits that read back to it, as ``repr``
 prints them. The writer finds those digits in bulk, for whole tracks a
-chunk at a time, in long double; what it cannot vouch for, and
-everything where long double is not x87 extended precision, ``repr``
-writes.
+chunk at a time, by one descending search over the number of digits in
+long double; what it cannot vouch for (coordinates below 1 or near a
+rounding tie), and everything where long double is not x87 extended
+precision, ``repr`` writes.
 
 A file in the compact form is decoded in bulk, a chunk of lines at a
 time, by integer scanning. One exact conversion (``_decimal``) turns
@@ -241,21 +242,22 @@ def _shortest_digits(x: np.ndarray):
     ``x`` holds doubles in [1, 10**15). The decimals that read back to
     such a double lie within half a unit in its last place on either
     side, so if any decimal of ``p`` significant digits reads back, the
-    nearest one does (``_nearest``). (Below a power of two the interval
-    is half as wide, but such an ``x`` is a whole number below 2**50: its
-    own digits read back, and its interval, narrower than 1, holds no
-    shorter decimal.) The shortest digits, which ``repr`` writes, are
-    those of the least ``p`` that reads back. Every ``x`` tries 16
-    digits; one that reads back tries 15 and then 14, and one that does
-    not takes 17, which always read back. Digits read back as the bulk
-    decoder reads them, by ``_decimal``, which rounds correctly, so the
-    decoder and ``float`` read the written text as ``x``.
+    nearest one does (``_nearest``), and so does the nearest of ``p + 1``
+    digits. (Below a power of two the interval is half as wide, but such
+    an ``x`` is a whole number below 2**50: its own digits read back, and
+    its interval, narrower than 1, holds no shorter decimal.) The
+    shortest digits, which ``repr`` writes, are those of the least ``p``
+    that reads back (Steele and White). Every ``x`` tries 16 digits; one
+    that does not read back takes 17, which always read back, and one
+    that does tries 15, 14 and so on down to ``e``, its number of integer
+    digits, until a ``p`` does not read back. Digits read back as the
+    bulk decoder reads them, by ``_decimal``, which rounds correctly, so
+    the decoder and ``float`` read the written text as ``x``.
 
     Returns the digits ``D`` (int64), the number of integer digits ``e``
     and the number of fraction digits ``k``, so that the decimal is
     ``D / 10**k``, and whether the digits are vouched for. They are not
-    when 14 digits read back (a shorter form may too, and is not sought),
-    or where ``_nearest`` is unsure of its product.
+    where ``_nearest`` is unsure of its product for any ``p`` tried.
     """
     e = np.searchsorted(_POW10_FLOAT[1:16], x, side="right") + 1
     xl = x.astype(np.longdouble)
@@ -266,13 +268,13 @@ def _shortest_digits(x: np.ndarray):
     d, reads_17, unsure = _nearest(x[longer], xl[longer], e[longer], 17)
     digits[longer], n_digits[longer] = d, 17
     vouched[longer] &= reads_17 & ~unsure
-    rows = np.flatnonzero(reads)
-    d, shorter, unsure = _nearest(x[rows], xl[rows], e[rows], 15)
-    vouched[rows] &= ~unsure
-    rows = rows[shorter]
-    digits[rows], n_digits[rows] = d[shorter], 15
-    _, shorter, unsure = _nearest(x[rows], xl[rows], e[rows], 14)
-    vouched[rows] &= ~(unsure | shorter)
+    rows, p = np.flatnonzero(reads), 15
+    while len(rows := rows[e[rows] <= p]):
+        d, shorter, unsure = _nearest(x[rows], xl[rows], e[rows], p)
+        vouched[rows] &= ~unsure
+        rows = rows[shorter]
+        digits[rows], n_digits[rows] = d[shorter], p
+        p -= 1
     # Digits that are not vouched for go unused; they are zeroed.
     digits = np.where(vouched, digits, 0)
     return digits, e, n_digits - e, vouched
@@ -281,23 +283,21 @@ def _shortest_digits(x: np.ndarray):
 def _nearest(x: np.ndarray, xl: np.ndarray, e: np.ndarray, p: int):
     """The nearest ``p``-digit decimal to each ``x``, whether it reads back, and if that is unsure.
 
-    ``xl`` is ``x`` in long double and ``e`` its number of integer digits.
-    The decimal is ``D / 10**k`` with ``k = p - e``, at least -1, and
-    ``D`` the integer nearest ``x * 10**k`` (``x / 10`` where ``k`` is
-    -1), found in long double. The product is then within its own
-    ``2**-64`` of the exact one, so ``D`` is right unless the product lies
-    within its ``2**-62`` of a half; that is flagged as unsure. ``D`` reads
-    back when ``_decimal``, the conversion the bulk decoder reads it with,
-    gives ``x`` for it (for ``D * 10`` with no fraction digit where ``k``
-    is -1).
+    ``xl`` is ``x`` in long double and ``e`` its number of integer digits,
+    at most ``p``. The decimal is ``D / 10**k`` with ``k = p - e``, and
+    ``D`` the integer nearest ``x * 10**k``, found in long double. The
+    product is then within its own ``2**-64`` of the exact one, so ``D``
+    is right unless the product lies within its ``2**-62`` of a half;
+    that is flagged as unsure. ``D`` reads back when ``_decimal``, the
+    conversion the bulk decoder reads it with, gives ``x`` for it.
     """
     k = p - e
-    scaled = np.where(k >= 0, xl * _POW10_LONG.take(np.maximum(k, 0)), xl / 10)
+    scaled = xl * _POW10_LONG.take(k)
     d = np.rint(scaled)
     # ``scaled - d`` is exact; doubles suffice to compare it with the margin.
     unsure = np.abs((scaled - d).astype(np.float64)) >= 0.5 - scaled.astype(np.float64) * 2.0**-62
     d = d.astype(np.int64)
-    reads = _decimal(np.where(k >= 0, d, d * 10), np.maximum(k, 0)) == x
+    reads = _decimal(d, k) == x
     return d, reads, unsure
 
 

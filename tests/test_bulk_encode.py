@@ -14,6 +14,7 @@ path off and the share of a benchmark scene's coordinates that leave it.
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -153,6 +154,34 @@ def test_near_half_table_holds_misrounded_products():
     shortest = np.array([len(repr(x).replace(".", "").lstrip("0")) for x in values.tolist()])
     near = np.array([k for _, k in NEAR_HALF]) + e
     assert not vouched[shortest == near].any()
+
+
+# Whole numbers and short decimals: the descending search reaches their
+# shortest form itself. At the next shorter ``p`` the products of the
+# refused ones are exact halves, which the search cannot round and so
+# does not vouch for.
+SHORT_FORMS = [1.0, 640.0, 1280.0, 2147483647.0, 123456789012340.0, 1.2, 3.14, 212.7, 719.99]
+EXACT_HALVES = [1.5, 12.25, 212.5]
+
+
+@X87_ONLY
+def test_the_search_finds_the_shortest_form_itself():
+    values = np.array(SHORT_FORMS + EXACT_HALVES)
+    *_, vouched = io._shortest_digits(values)
+    assert vouched.tolist() == [True] * len(SHORT_FORMS) + [False] * len(EXACT_HALVES)
+    points = values.reshape(-1, 2)
+    text, _ = io._points_text(points)
+    assert bytes(text) == "".join(f"{x!r},{y!r}],[" for x, y in points.tolist()).encode()
+
+
+@X87_ONLY
+def test_the_search_never_scales_by_a_negative_power():
+    # ``_POW10_LONG.take(k)`` wraps around for k < 0, silently; the cast of
+    # the product it gives to int64 is what warns.
+    values = HARD_DOUBLES[(HARD_DOUBLES >= 1) & (HARD_DOUBLES < 1e15)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        io._shortest_digits(values)
 
 
 def _coordinates(side: int):

@@ -67,5 +67,5 @@ def test_the_writer_takes_repr_for_every_coordinate(tmp_path):
 def test_few_coordinates_leave_the_bulk_path(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_EXACT_DIVISION", True)
     path = tmp_path / "scene.jsonl"
-    assert _write_partial_scene(path) <= 0.05
+    assert _write_partial_scene(path) <= 0.01
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PARTIAL_SCENE_DIGEST
