@@ -78,18 +78,18 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _records(path, object_pairs_hook=None):
+def _records(path):
     """Yield (line number, JSON value) for each non-blank line of a file.
 
     Lines end at ``\\n`` only: a lone ``\\r`` is JSON whitespace, and the
     ``\\r`` of a CRLF line end goes when the line is stripped, before it
     is decoded. Undecodable bytes are read as escapes, so a line that is
     not UTF-8 or not JSON is a ``ParseError`` with its number, and so are
-    a leading byte-order mark, an integer too long to convert and a
-    ``DuplicateKey`` from ``object_pairs_hook``. One decoder serves the
-    whole file.
+    a leading byte-order mark, an integer too long to convert and an
+    object that names a key twice (``unique_keys``). One decoder serves
+    the whole file.
     """
-    decode = json.JSONDecoder(object_pairs_hook=object_pairs_hook).decode
+    decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -367,7 +367,7 @@ def _parse_lines(path) -> TrajectoryStore:
     bounds = array("q", [0])  # track i owns buffer rows bounds[i]:bounds[i + 1]
     fault = None
     try:
-        for lineno, rec in _records(path, unique_keys):
+        for lineno, rec in _records(path):
             if type(rec) is not dict:
                 raise ParseError("record is not an object", lineno)
             if header is None:
@@ -672,7 +672,7 @@ def parse_labels(path) -> LabelFileData:
     blocks = []
     fused = None
     edge = 0
-    for lineno, rec in _records(path, unique_keys):
+    for lineno, rec in _records(path):
         if not isinstance(rec, dict) or "type" not in rec:
             raise ParseError("record needs a 'type' field", lineno)
         kind = rec["type"]

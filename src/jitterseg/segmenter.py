@@ -57,7 +57,6 @@ from .shapes import (
     preshape_rows,
     procrustes_distance,  # noqa: F401  (bench/tracing.py wraps it here)
     procrustes_residuals,
-    project_rows,
     project_to_preshape,  # noqa: F401  (bench/tracing.py wraps it here)
     unit_phase,
 )
@@ -440,10 +439,12 @@ def segment_block(store: TrajectoryStore, block: Block, params: SegmenterParams)
     spectrally clustered, each cluster is aligned to its GPA mean, and
     every qualifying non-representative is labeled by its nearest mean.
     The representatives are one (K, N) complex pre-shape stack, gathered
-    by their store rows; their ids are taken once, for the labels.
+    by their store rows and projected by ``preshape_rows``; none is
+    motionless, since ``select_representatives`` keeps only moving
+    tracks. Their ids are taken once, for the labels.
     """
     reps = select_representatives(store, block, params)
-    z = project_rows(store.windows(reps, block.start, block.end)[0])
+    z = preshape_rows(store.windows(reps, block.start, block.end)[0])[0]
     assignment = spectral_cluster(build_affinity(z, params.omega))
     means = tuple(gpa_align(z, assignment.members(c)).mean for c in (0, 1))
     labels = dict(zip(store.frame_spans[0][reps].tolist(), assignment.labels))
@@ -465,7 +466,11 @@ def assign_stragglers(
     window and re-projected to the pre-shape sphere first. Near-exact
     ties go to the lower cluster index. Trajectories below the coverage
     threshold (or with a motionless window) stay unlabeled, and so do
-    all of them when every cropped mean is motionless.
+    all of them when every cropped mean is motionless. So does a window
+    of fewer than ``MIN_SHAPE_FRAMES`` frames, the rule blocks follow:
+    any two points have the same shape, so both cropped means would sit
+    at distance ~0 from it and the tie rule, not the track, would pick
+    cluster 0.
 
     All candidates are labeled together (``_nearest_means``), in passes
     of at most ``_STRAGGLER_CELLS`` candidate frames: each is its
@@ -478,7 +483,7 @@ def assign_stragglers(
     ids, starts, ends = store.frame_spans
     width = np.minimum(block.end, ends) - np.maximum(block.start, starts)
     candidate = np.flatnonzero(
-        (width >= 2)
+        (width >= MIN_SHAPE_FRAMES)
         & (width / block.length >= params.span_threshold - _FRACTION_EPS)
         & ~np.isin(ids, np.fromiter(labels, dtype=np.int64, count=len(labels)))
     )

@@ -18,7 +18,11 @@ and the single-shape API is a thin layer over it. ``preshape_rows`` is
 the one projection: ``project_to_preshape`` runs it on a one-row stack,
 the block's representatives on their (K, N) stack, and the straggler
 labels on a stack of rows that each cover only part of the block, with
-a mask that confines each row's sums to the frames it covers.
+a mask that confines each row's sums to the frames it covers. It also
+holds the one motionless rule: a row whose centered norm is below
+``DEGENERACY_EPS`` comes back as zeros beside its norm, and the callers
+read the norms. ``project_to_preshape`` raises ``DegenerateTrajectory``
+on such a row; the representatives and the stragglers pass it over.
 ``procrustes_residuals`` is the one literal residual: the straggler
 labels and ``procrustes_distance`` take their Procrustes distances from
 it, and so does the affinity for the few pairs near d = 0, where the
@@ -140,7 +144,7 @@ class Rotation2D:
 def project_to_preshape(config: np.ndarray) -> PreShape:
     """Re-center the rows of ``config`` and rescale to unit Frobenius norm.
 
-    This is ``project_rows`` on a one-row stack, so its bits are those
+    This is ``preshape_rows`` on a one-row stack, so its bits are those
     of the pipeline's own projection. Idempotent on valid pre-shapes (up
     to floating-point identity: a valid pre-shape's centering and norm
     are already exact to ~1e-16).
@@ -154,7 +158,10 @@ def project_to_preshape(config: np.ndarray) -> PreShape:
         raise InvalidPreShape(f"config must be an (N, 2) array with N >= 2, got {cfg.shape}")
     if not np.isfinite(cfg).all():
         raise InvalidPreShape("config has a non-finite coordinate")
-    return PreShape(project_rows(as_complex(cfg)[None])[0].view(float).reshape(-1, 2))
+    pre, norms = preshape_rows(as_complex(cfg)[None])
+    if norms[0] < DEGENERACY_EPS:
+        raise DegenerateTrajectory(f"centered norm {norms[0]:.3e} below {DEGENERACY_EPS:.0e}")
+    return PreShape(pre[0].view(float).reshape(-1, 2))
 
 
 def to_preshape(traj: Trajectory) -> PreShape:
@@ -243,20 +250,6 @@ def _check_preshapes(z: np.ndarray) -> None:
     unit = np.sqrt(np.einsum("ij,ij->i", z.view(float), z.view(float)))
     if not np.abs(unit - 1.0).max(initial=0.0) <= _INVARIANT_TOL:
         raise InvalidPreShape("config does not have unit Frobenius norm")
-
-
-def project_rows(z: np.ndarray) -> np.ndarray:
-    """Pre-shapes of the rows of a (K, N) complex stack.
-
-    Raises DegenerateTrajectory when some row's centered norm falls below
-    ``DEGENERACY_EPS`` (all its points coincide).
-    """
-    pre, norms = preshape_rows(z)
-    if norms.min() < DEGENERACY_EPS:
-        raise DegenerateTrajectory(
-            f"centered norm {norms.min():.3e} below {DEGENERACY_EPS:.0e}"
-        )
-    return pre
 
 
 def unit_phase(h):

@@ -31,6 +31,7 @@ from jitterseg.errors import (
     ParseError,
 )
 from jitterseg.io import DuplicateKey, _is_int, _parse_header, _valid_points, unique_keys
+from jitterseg.segmenter import MIN_SHAPE_FRAMES
 from jitterseg.shapes import stack_preshapes, unit_phase
 
 # Hypothesis's pytest plugin imports this module to report a failing
@@ -199,7 +200,7 @@ def oracle_assign_stragglers(result, store, block, params) -> dict[int, int]:
             continue
         lo = max(block.start, t.start_frame)
         hi = min(block.end, t.end_frame)
-        if hi - lo < 2:
+        if hi - lo < MIN_SHAPE_FRAMES:
             continue
         if (hi - lo) / block.length < params.span_threshold - 1e-9:
             continue

@@ -200,6 +200,23 @@ class TestAgainstLineReader:
         else:
             _assert_same_columns(parsed, want)
 
+    def test_declines_a_file_longer_than_its_stat_said(self, tmp_path, monkeypatch):
+        # The points buffer is sized from the stat: 100 bytes hold at most
+        # 10 points, and the file grew to 12 while it was read.
+        path = tmp_path / "t.jsonl"
+        points = ",".join(f"[{x}.5,{x}.25]" for x in range(12))
+        header = HEADER.replace('"frames":4', '"frames":12')
+        path.write_text(header + '{"id":1,"start":0,"points":[%s]}\n' % points)
+        real_stat = io.os.stat
+
+        def short_stat(p, *args, **kwargs):
+            info = tuple(real_stat(p, *args, **kwargs))
+            return io.os.stat_result(info[:6] + (100,) + info[7:])
+
+        monkeypatch.setattr(io.os, "stat", short_stat)
+        assert io._decode_compact(path) is None
+        _assert_same_columns(parse_trajectories(path), io._parse_lines(path))
+
 
 def _decimal(numerator: int, places: int) -> str:
     digits = str(numerator).rjust(places + 1, "0")

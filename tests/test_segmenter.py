@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import oracle_fuse_blocks, oracle_representatives
+from conftest import oracle_assign_stragglers, oracle_fuse_blocks, oracle_representatives
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -413,6 +413,29 @@ class TestAssignStragglers:
         del trimmed[100]
         partial = BlockResult(block, trimmed, result.means)
         assert assign_stragglers(partial, store, block, params)[100] == result.labels[100]
+
+    def test_windows_under_three_frames_stay_unlabeled(self):
+        # Any two points have one shape, so both cropped means would sit at
+        # ~1e-16 from a two-frame window and the tie rule would give
+        # cluster 0 whatever the track did.
+        rng = np.random.default_rng(11)
+
+        def tracks(first, start, n_points):
+            return [
+                Trajectory(first + i, start, rng.uniform(10.0, 300.0, (n_points, 2)))
+                for i in range(20)
+            ]
+
+        reps = tracks(0, 0, 6)[:4]
+        two, three = tracks(10, 4, 2), tracks(30, 3, 3)
+        store = TrajectoryStore((*reps, *two, *three), 6, FRAME)
+        block = Block(0, 6)
+        result = BlockResult(block, {0: 0, 1: 0, 2: 1, 3: 1}, tuple(rng.uniform(0, 1, (2, 6, 2))))
+        params = SegmenterParams(span_threshold=0.3)
+        labels = assign_stragglers(result, store, block, params)
+        assert labels == oracle_assign_stragglers(result, store, block, params)
+        assert not any(t.id in labels for t in two)
+        assert all(t.id in labels for t in three)
 
     def test_seeded_partials_labeled_correctly(self):
         scene = generate_scene(SceneParams(n_bg=60, n_fg=20, n_frames=30, sigma=0.15, seed=9))

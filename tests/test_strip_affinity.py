@@ -34,7 +34,7 @@ from jitterseg import (
 )
 from jitterseg.clustering import LITERAL_BELOW
 from jitterseg.errors import TooFewRepresentatives
-from jitterseg.shapes import project_rows
+from jitterseg.shapes import preshape_rows
 
 from conftest import oracle_affinity_rows
 
@@ -55,7 +55,7 @@ def _stack(rng, k: int, n: int, duplicates: int, near: int = 0) -> np.ndarray:
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z[a] = z[b] * np.exp(1j * rng.uniform(0.0, 6.0)) * rng.uniform(0.5, 2.0)
         z[a] += 10.0 ** rng.uniform(-12.0, -2.0) * noise
-    return project_rows(z)
+    return preshape_rows(z)[0]
 
 
 @st.composite
@@ -103,7 +103,7 @@ class TestStripAffinity:
         z = _stack(rng, 12, 30, 0)
         z[5] = z[2]
         z[7] = z[2] + 1e-9 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
-        z = project_rows(z)
+        z = preshape_rows(z)[0]
         got = build_affinity(z, 0.02).values
         want = oracle_affinity_rows(z, 0.02)
         assert _closed_form(z)[2, 7] < LITERAL_BELOW
@@ -132,7 +132,7 @@ class TestStripAffinity:
         group = rng.permutation(np.repeat([0, 1], [k0, k1]))
         z = bases[group] * np.exp(1j * rng.uniform(0.0, 6.0, (k0 + k1, 1)))
         z += noise * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
-        z = project_rows(z)
+        z = preshape_rows(z)[0]
         got = spectral_cluster(build_affinity(z, 0.02))
         want = spectral_cluster(AffinityMatrix(oracle_affinity_rows(z, 0.02)))
         assert got == want
