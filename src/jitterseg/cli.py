@@ -103,7 +103,7 @@ def _coerce(opt: _Option, value):
 def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
     """Apply config-file values under the flags, then the defaults."""
     config = {}
-    if args.get("config"):
+    if args.get("config") is not None:
         try:
             with open(args["config"], "r", encoding="utf-8") as f:
                 text = f.read()

@@ -77,7 +77,7 @@ def build_affinity(
     Analysis*, ch. 4), with ``G = Z Z^H`` the K x K Gram matrix
     (``G[i, j] = <z_j, z_i>``). That form is taken for every pair of the
     upper triangle, clipped at 0, and mirrored, so the matrix is exactly
-    symmetric with unit diagonal.
+    symmetric; its diagonal, where the distance is 0, is exactly 1.
 
     Its error: for N-frame pre-shapes, ``G_ij`` and the squared norms
     (taken as 1) are each rounded by at most about ``(N + 2) 2**-53``, so
@@ -114,7 +114,6 @@ def build_affinity(
             f"omega={omega:g} is too small: exp(-d/omega) underflows to 0 "
             f"for Procrustes distances from {d_min:.6g} up"
         )
-    np.fill_diagonal(values, 1.0)
     return AffinityMatrix(values)
 
 

@@ -9,8 +9,9 @@ into: every point lies once in one float buffer, and the store's one
 check validates ids, frame ranges and points for the whole file.
 
 ``serialize_trajectories`` writes the compact form: no whitespace, and
-every record coordinate in plain decimals. Each line is byte for byte
-what ``json.dumps`` with separators ``(",", ":")`` writes, so every
+every record coordinate in plain decimals, except that one below 1e-4
+has an exponent (``1e-05``). Each line is byte for byte what
+``json.dumps`` with separators ``(",", ":")`` writes, so every
 coordinate has the shortest digits that read back to it, as ``repr``
 prints them. The writer finds those digits in bulk, for whole tracks a
 chunk at a time, by one descending search over the number of digits in
@@ -49,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DuplicateId, JittersegError, ParseError
+from .errors import JittersegError, ParseError
 from .segmenter import MAX_INT_PARAM, BlockResult, TrajectoryStore
 
 
@@ -356,10 +357,12 @@ def _parse_lines(path) -> TrajectoryStore:
     lists) is checked as it is read. Its id, start frame and line number
     are appended to integer columns and its points to one float64 buffer;
     the JSON objects are dropped at once. The store adopts the columns as
-    they are and its one check (``TrajectoryStore.first_fault``) covers
-    ids, frame ranges, finiteness and frame bounds over all of them at
-    once. Whichever check fails, the error is raised for the first faulty
-    record in file order, with its line number.
+    they are, with the line numbers, and its one check, run as it is
+    built, covers ids, frame ranges, finiteness and frame bounds over all
+    of them at once and names the line of the first faulty track. The
+    store is built, and so checked, before a structural fault that
+    stopped the read is raised, so every error is the first faulty
+    record's in file order.
     """
     header = None
     coords = array("d")
@@ -392,18 +395,7 @@ def _parse_lines(path) -> TrajectoryStore:
     # Rows past the last complete record belong to a record that failed.
     rows = np.frombuffer(coords, dtype=float)[: 2 * bounds[-1]].reshape(-1, 2)
     columns = (np.frombuffer(c, dtype=np.int64) for c in (ids, starts, bounds))
-    store = TrajectoryStore._of_columns(*columns, rows, frames, (width, height))
-    broken = store.first_fault()
-    if broken is not None:
-        line, tid = lines[broken[0]], ids[broken[0]]
-        raise {
-            "duplicate": DuplicateId(f"line {line}: trajectory id {tid} appears twice"),
-            "frames": BoundsError(
-                f"line {line}: trajectory {tid} covers frames outside [0, {frames})"
-            ),
-            "non-finite": ParseError(f"trajectory {tid} has a non-finite coordinate", line),
-            "outside": BoundsError(f"line {line}: trajectory {tid} leaves the frame bounds"),
-        }[broken[1]]
+    store = TrajectoryStore._of_columns(*columns, rows, frames, (width, height), lines)
     if fault is not None:
         raise fault
     return store
@@ -478,8 +470,11 @@ def _decode_compact(path) -> TrajectoryStore | None:
     read in chunks of whole lines (``_decode_chunk``) straight into the
     store's columns. Anything else (whitespace, signs, exponents, blank
     lines, CRLF line ends, non-ASCII bytes, a header that is not valid,
-    tokens of more than 18 digits) and any store that fails its check
-    gives None, and the file is read line by line instead.
+    tokens of more than 18 digits) gives None, and so does a store whose
+    check raises as it is built; the file is then read line by line, and
+    that reader reports the fault with its line. The writer puts an
+    exponent in a coordinate below 1e-4 (``1e-05``), so a file that
+    holds one is read line by line too.
 
     Only a regular file is decoded: a pipe, a FIFO or ``/dev/stdin`` can
     be read only once, so it is left unopened for the line-by-line reader.
@@ -519,15 +514,17 @@ def _decode_compact(path) -> TrajectoryStore | None:
             n_rows += len(points)
     rows.resize((n_rows, 2), refcheck=False)  # in place; no view of ``rows`` is alive
     none = np.empty(0, dtype=np.int64)  # keeps the columns int64 when there is no track
-    store = TrajectoryStore._of_columns(
-        np.concatenate([none, *ids]),
-        np.concatenate([none, *starts]),
-        np.cumsum(np.concatenate([none, [0], *counts])),
-        rows,
-        frames,
-        (width, height),
-    )
-    return None if store.first_fault() is not None else store
+    try:
+        return TrajectoryStore._of_columns(
+            np.concatenate([none, *ids]),
+            np.concatenate([none, *starts]),
+            np.cumsum(np.concatenate([none, [0], *counts])),
+            rows,
+            frames,
+            (width, height),
+        )
+    except JittersegError:  # a store fault, which the line-by-line reader reports
+        return None
 
 
 def _compact_header(line: bytes) -> tuple[int, int, int] | None:

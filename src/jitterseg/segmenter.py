@@ -14,11 +14,12 @@ skipped.
 
 A ``TrajectoryStore`` keeps every point once, in one read-only (M, 2)
 buffer beside per-track id, first-frame and row-bound columns, and one
-vectorized check (``TrajectoryStore.first_fault``) validates them. Every
-stage reads these columns through one gather, ``TrajectoryStore.windows``:
-the representatives, the stragglers and the first-frame boxes that
-orient the fusion are all rows of it, zero where a track does not cover
-a frame, beside their coverage mask, and ``shapes.preshape_rows``
+vectorized check (``TrajectoryStore._check``) validates them as the
+store is built, so no store breaks its rules. Every stage reads these
+columns through one gather, ``TrajectoryStore.windows``: the
+representatives, the stragglers and the first-frame boxes that orient
+the fusion are all rows of it, zero where a track does not cover a
+frame, beside their coverage mask, and ``shapes.preshape_rows``
 projects them over that mask. No ``Trajectory`` is built between a
 parsed file and its labels.
 """
@@ -47,6 +48,7 @@ from .errors import (
     InvalidParameter,
     NoSharedTrajectories,
     NoValidBlock,
+    ParseError,
     TooFewRepresentatives,
     UnknownId,
 )
@@ -111,13 +113,14 @@ class TrajectoryStore:
 
     ``TrajectoryStore(trajectories, n_frames_total, frame_size)`` copies
     the tracks' points into a new buffer; ``parse_trajectories`` and the
-    synthetic scenes hand over their columns as they are. Every store
-    passes the one store check, ``first_fault``: ids are distinct, every
-    track ends by ``n_frames_total`` and every point is finite and lies
-    in ``[0, width] x [0, height]``. The constructor reports the first
-    offending track in store order (``DuplicateId`` or ``BoundsError``);
-    the parser names its line. ``n_frames_total`` is at least 2 and at
-    most ``MAX_INT_PARAM``.
+    synthetic scenes hand over their columns as they are (``_of_columns``).
+    Either way the one store check, ``_check``, runs as the store is
+    built: ids are distinct, every track ends by ``n_frames_total`` and
+    every point is finite and lies in ``[0, width] x [0, height]``. The
+    first offending track in store order raises ``DuplicateId`` or
+    ``BoundsError``, and no store is made; when the columns were read
+    from a file, the error names the track's line. ``n_frames_total`` is
+    at least 2 and at most ``MAX_INT_PARAM``.
     """
 
     n_frames_total: int
@@ -137,21 +140,21 @@ class TrajectoryStore:
         bounds = np.cumsum([0, *(t.n_points for t in trajs)])
         points = np.concatenate([t.points for t in trajs]) if trajs else np.empty((0, 2))
         self._adopt(ids, starts, bounds, points, n_frames_total, frame_size)
-        self._checked()
 
     @classmethod
-    def _of_columns(cls, ids, starts, bounds, points, n_frames_total, frame_size):
+    def _of_columns(cls, ids, starts, bounds, points, n_frames_total, frame_size, lines=None):
         """A store over int64 columns and an (M, 2) float buffer, not copied.
 
         The arrays are made read-only. Each track needs at least 2 rows
-        and ``bounds`` runs from 0 to M. The store rules are not checked:
-        call ``_checked`` or read ``first_fault``.
+        and ``bounds`` runs from 0 to M. The store is checked as every
+        store is (``_check``); ``lines``, each track's line in the file it
+        was read from, makes the error name the offending track's line.
         """
         store = cls.__new__(cls)
-        store._adopt(ids, starts, bounds, points, n_frames_total, frame_size)
+        store._adopt(ids, starts, bounds, points, n_frames_total, frame_size, lines)
         return store
 
-    def _adopt(self, ids, starts, bounds, points, n_frames_total, frame_size) -> None:
+    def _adopt(self, ids, starts, bounds, points, n_frames_total, frame_size, lines=None) -> None:
         width, height = frame_size
         if width <= 0 or height <= 0:
             raise InvalidParameter("frame_size must be positive")
@@ -162,16 +165,19 @@ class TrajectoryStore:
             column.flags.writeable = False
         vars(self).update(n_frames_total=n_frames_total, frame_size=(width, height))
         vars(self).update(ids=ids, starts=starts, bounds=bounds, points=points)
+        self._check(lines)
 
-    def first_fault(self) -> tuple[int, str] | None:
-        """The first track in store order that breaks a store rule, and the rule.
+    def _check(self, lines) -> None:
+        """Raise the error of the first track in store order that breaks a store rule.
 
-        The rules, in the order one track's faults are reported:
-        ``"duplicate"`` (an earlier track has its id), ``"frames"`` (it
-        starts before frame 0 or ends past ``n_frames_total``),
-        ``"non-finite"`` (a NaN or infinite coordinate) and ``"outside"``
-        (a point outside ``[0, width] x [0, height]``). One pass over the
-        columns, with no numpy call per track.
+        The rules, in the order one track's faults are reported: its id is
+        not an earlier track's (``DuplicateId``), it starts at frame 0 or
+        later and ends by ``n_frames_total``, and its coordinates are
+        finite and lie in ``[0, width] x [0, height]`` (``BoundsError``).
+        With ``lines`` the message starts with the track's line, a frame
+        fault names the range ``[0, n_frames_total)`` and a non-finite
+        coordinate is a ``ParseError``. One pass over the columns, with no
+        numpy call per track.
         """
         ids, starts, bounds, order = self.ids, self.starts, self.bounds, self._id_order
         repeat = np.zeros(ids.size, dtype=bool)
@@ -184,25 +190,19 @@ class TrajectoryStore:
         if not inside.all():
             bad[np.searchsorted(bounds, np.argmin(inside), side="right") - 1] = True
         if not bad.any():
-            return None
+            return
         i = int(np.argmax(bad))
-        if repeat[i] or frames[i]:
-            return i, "duplicate" if repeat[i] else "frames"
-        finite = np.isfinite(self.points[bounds[i] : bounds[i + 1]]).all()
-        return i, "outside" if finite else "non-finite"
-
-    def _checked(self) -> TrajectoryStore:
-        """The store itself, once ``first_fault`` finds nothing; else its error."""
-        fault = self.first_fault()
-        if fault is not None:
-            tid, last = int(self.ids[fault[0]]), self.n_frames_total - 1
-            raise {
-                "duplicate": DuplicateId(f"trajectory id {tid} appears twice"),
-                "frames": BoundsError(f"trajectory {tid} extends past frame {last}"),
-                "non-finite": BoundsError(f"trajectory {tid} has a non-finite coordinate"),
-                "outside": BoundsError(f"trajectory {tid} leaves the frame bounds"),
-            }[fault[1]]
-        return self
+        tid, n = int(ids[i]), self.n_frames_total
+        at = "" if lines is None else f"line {lines[i]}: "
+        if repeat[i]:
+            raise DuplicateId(f"{at}trajectory id {tid} appears twice")
+        if frames[i]:
+            past = f"covers frames outside [0, {n})" if at else f"extends past frame {n - 1}"
+            raise BoundsError(f"{at}trajectory {tid} {past}")
+        if not np.isfinite(self.points[bounds[i] : bounds[i + 1]]).all():
+            message = f"trajectory {tid} has a non-finite coordinate"
+            raise BoundsError(message) if lines is None else ParseError(message, lines[i])
+        raise BoundsError(f"{at}trajectory {tid} leaves the frame bounds")
 
     @cached_property
     def _id_order(self) -> np.ndarray:

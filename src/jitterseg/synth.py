@@ -202,7 +202,7 @@ def generate_scene(params: SceneParams) -> LabeledScene:
     points += np.stack((x0, y0), axis=-1)[:, None]
     ids, starts, bounds = np.arange(n), np.zeros(n, dtype=np.int64), np.arange(n + 1) * frames
     columns = (ids, starts, bounds, points.reshape(-1, 2))
-    store = TrajectoryStore._of_columns(*columns, frames, params.frame_size)._checked()
+    store = TrajectoryStore._of_columns(*columns, frames, params.frame_size)
     ground_truth = dict.fromkeys(range(params.n_bg), 0) | dict.fromkeys(range(params.n_bg, n), 1)
     return LabeledScene(fuse_jitter(store, params.sigma, params.seed), ground_truth)
 
@@ -264,7 +264,7 @@ def fuse_jitter(store: TrajectoryStore, sigma: float, seed: int) -> TrajectorySt
         message = f"sigma={sigma:g} clips {clipped} of {len(shaken)} points to the frame border"
         warnings.warn(DegenerateScene(message))
     columns = (store.ids, store.starts, store.bounds, shaken)
-    return TrajectoryStore._of_columns(*columns, store.n_frames_total, store.frame_size)._checked()
+    return TrajectoryStore._of_columns(*columns, store.n_frames_total, store.frame_size)
 
 
 def metrics_from_labels(predicted: dict[int, int], truth: dict[int, int]) -> Metrics:

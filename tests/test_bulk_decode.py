@@ -200,6 +200,19 @@ class TestAgainstLineReader:
         else:
             _assert_same_columns(parsed, want)
 
+    def test_coordinate_below_1e4_is_written_with_an_exponent(self, tmp_path):
+        # ``repr`` writes 1e-05, so the writer does too: the file is not in
+        # the compact form, the decoder declines it, and the line reader
+        # reads back the same bits.
+        track = Trajectory(1, 0, np.array([[1e-05, 2.0], [3.5, 4.0]]))
+        store = TrajectoryStore((track,), 4, (9, 9))
+        path = tmp_path / "t.jsonl"
+        serialize_trajectories(store, path)
+        record = '{"id":1,"start":0,"points":[[1e-05,2.0],[3.5,4.0]]}'
+        assert path.read_text().splitlines()[1] == record
+        assert io._decode_compact(path) is None
+        _assert_same_columns(parse_trajectories(path), store)
+
     def test_declines_a_file_longer_than_its_stat_said(self, tmp_path, monkeypatch):
         # The points buffer is sized from the stat: 100 bytes hold at most
         # 10 points, and the file grew to 12 while it was read.

@@ -2,13 +2,14 @@
 
 A ``TrajectoryStore`` keeps every point once, in one read-only (M, 2)
 buffer beside per-track id, start and row-bound columns, and one
-vectorized check (``first_fault``) covers ids, frame ranges, finiteness
-and frame bounds for both ways of building it. ``parse_trajectories``
-checks each record's structure as it reads it and leaves the rest to
-that check, mapping the offending track to its line. ``conftest`` keeps
-the former per-record parser and per-track store checks as oracles: on
-generated files with injected faults both must give the same store bit
-for bit, or the same error type and message.
+vectorized check (``_check``), run as the store is built, covers ids,
+frame ranges, finiteness and frame bounds for both ways of building it.
+``parse_trajectories`` checks each record's structure as it reads it
+and leaves the rest to that check, which names the offending track's
+line. ``conftest`` keeps the former per-record parser and per-track
+store checks as oracles: on generated files with injected faults both
+must give the same store bit for bit, or the same error type and
+message.
 """
 
 from __future__ import annotations
@@ -408,7 +409,7 @@ class TestStoreChecks:
         try:
             if by_columns and trajs:
                 tracks = [(t.id, t.start_frame, t.points) for t in trajs]
-                TrajectoryStore._of_columns(*_columns(tracks), frames, size)._checked()
+                TrajectoryStore._of_columns(*_columns(tracks), frames, size)
             else:
                 TrajectoryStore(tuple(trajs), frames, size)
         except JittersegError as exc:
@@ -520,7 +521,7 @@ class TestColumns:
         except JittersegError as exc:
             want = exc
         try:
-            TrajectoryStore._of_columns(*_columns(tracks), 4, (10, 10))._checked()
+            TrajectoryStore._of_columns(*_columns(tracks), 4, (10, 10))
         except JittersegError as exc:
             got = exc
         assert type(got) is type(want) and str(got) == str(want)
@@ -529,7 +530,7 @@ class TestColumns:
     def test_views_without_copy(self):
         rows = np.arange(10.0).reshape(5, 2)
         ids, starts, bounds = np.array([2, 1]), np.array([3, 0]), np.array([0, 2, 5])
-        store = TrajectoryStore._of_columns(ids, starts, bounds, rows, 6, (10, 10))._checked()
+        store = TrajectoryStore._of_columns(ids, starts, bounds, rows, 6, (10, 10))
         assert store.points is rows and not rows.flags.writeable
         b, a = store.trajectories
         assert np.shares_memory(a.points, rows) and np.shares_memory(b.points, rows)

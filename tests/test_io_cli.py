@@ -924,6 +924,15 @@ class TestCli:
         assert run_cli(argv) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_empty_config_path_is_usage_error(self, tmp_path, capsys):
+        # An empty path names no file; it is not the same as no --config.
+        out = tmp_path / "s.jsonl"
+        argv = ["synth", "--config", "", "--sigma", "0.1", "--n-bg", "20", "--n-fg", "8"]
+        argv += ["--frames", "12", "--out", str(out), "--gt", str(tmp_path / "gt.jsonl")]
+        assert run_cli(argv) == 2
+        assert "jitterseg: error: cannot read config: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["segment", "eval", "config"])
     def test_byte_order_mark_is_one_plain_error(self, tmp_path, capsys, command):
         traj, gt = self._synth(tmp_path, 0.0)
