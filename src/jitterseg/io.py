@@ -28,7 +28,8 @@ layout (spaces, exponents, integer coordinates, blank lines, CRLF line
 ends), and any input that can be read only once, such as a pipe, is
 read line by line, which gives the same store, and every fault is
 reported by that reader, with the same error and line number. Lines
-end at ``\\n`` only; a lone ``\\r`` is whitespace.
+end at ``\\n`` only; a lone ``\\r`` is whitespace. Only JSON's
+whitespace (space, tab, ``\\r``) may pad a record or fill a blank line.
 
 A label file holds an optional ``params`` record (the complete effective
 parameter set of the run), one ``block`` record per processed block
@@ -83,17 +84,19 @@ def _records(path):
     """Yield (line number, JSON value) for each non-blank line of a file.
 
     Lines end at ``\\n`` only: a lone ``\\r`` is JSON whitespace, and the
-    ``\\r`` of a CRLF line end goes when the line is stripped, before it
-    is decoded. Undecodable bytes are read as escapes, so a line that is
-    not UTF-8 or not JSON is a ``ParseError`` with its number, and so are
-    a leading byte-order mark, an integer too long to convert and an
-    object that names a key twice (``unique_keys``). One decoder serves
-    the whole file.
+    ``\\r`` of a CRLF line end goes when the line is stripped of JSON's
+    whitespace (space, tab, ``\\r``, ``\\n``), before it is decoded. Other
+    padding, such as a form feed or U+00A0, is invalid JSON, and a line
+    of it is not blank. Undecodable bytes are read as escapes, so a line
+    that is not UTF-8 or not JSON is a ``ParseError`` with its number,
+    and so are a leading byte-order mark, an integer too long to convert
+    and an object that names a key twice (``unique_keys``). One decoder
+    serves the whole file.
     """
     decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")  # JSON's whitespace, not all of Unicode's
             if not line:
                 continue
             if not line.isascii():

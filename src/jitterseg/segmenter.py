@@ -172,8 +172,8 @@ class TrajectoryStore:
 
         The rules, in the order one track's faults are reported: its id is
         not an earlier track's (``DuplicateId``), it starts at frame 0 or
-        later and ends by ``n_frames_total``, and its coordinates are
-        finite and lie in ``[0, width] x [0, height]`` (``BoundsError``).
+        later and ends by ``n_frames_total``, and each point is finite and
+        lies in ``[0, frame_size]`` on both axes (``BoundsError``).
         With ``lines`` the message starts with the track's line, a frame
         fault names the range ``[0, n_frames_total)`` and a non-finite
         coordinate is a ``ParseError``. One pass over the columns, with no
@@ -183,12 +183,11 @@ class TrajectoryStore:
         repeat = np.zeros(ids.size, dtype=bool)
         repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
         frames = (starts < 0) | (starts > self.n_frames_total - np.diff(bounds))
-        width, height = self.frame_size
-        x, y = self.points[:, 0], self.points[:, 1]
-        inside = (x >= 0) & (x <= width) & (y >= 0) & (y <= height)  # False for NaN too
+        size = np.array(self.frame_size, dtype=float)
+        inside = (self.points >= 0) & (self.points <= size)  # False for NaN too
         bad = repeat | frames
-        if not inside.all():
-            bad[np.searchsorted(bounds, np.argmin(inside), side="right") - 1] = True
+        if not inside.all():  # flat index // 2 is the first offending point's row
+            bad[np.searchsorted(bounds, np.argmin(inside) // 2, side="right") - 1] = True
         if not bad.any():
             return
         i = int(np.argmax(bad))
@@ -409,17 +408,15 @@ def select_representatives(
     k = np.flatnonzero((starts <= block.start) & (ends >= block.end))
     reps = k[:0]
     if k.size and block.length >= MIN_SHAPE_FRAMES:
-        width, height = store.frame_size
         g = params.grid_cells
-        cell_w = width / g
-        cell_h = height / g
+        cell_size = np.array(store.frame_size, dtype=float)[:, None] / g
         z = store.windows(k, block.start, block.end)[0]
         moving = preshape_rows(z)[1] >= DEGENERACY_EPS
-        k, x, y = k[moving], z[moving, 0].real, z[moving, 0].imag
-        cx = np.minimum((x // cell_w).astype(np.int64), g - 1)
-        cy = np.minimum((y // cell_h).astype(np.int64), g - 1)
-        d2 = (x - (cx + 0.5) * cell_w) ** 2 + (y - (cy + 0.5) * cell_h) ** 2
-        cell = cy * g + cx
+        # First-frame positions as a (2, K) array: one row per axis.
+        k, xy = k[moving], np.stack((z[moving, 0].real, z[moving, 0].imag))
+        ij = np.minimum((xy // cell_size).astype(np.int64), g - 1)
+        d2 = ((xy - (ij + 0.5) * cell_size) ** 2).sum(axis=0)  # dx² + dy²
+        cell = ij[1] * g + ij[0]
         order = np.lexsort((k, d2, cell))  # k runs in id order
         first = np.ones(order.size, dtype=bool)
         first[1:] = cell[order][1:] != cell[order][:-1]

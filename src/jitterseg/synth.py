@@ -140,10 +140,14 @@ def _object_path(params: SceneParams, theta_cam: float, rng: np.random.Generator
     return params.object_speed * f[:, None] * w[None, :] + sway[:, None] * w_perp[None, :]
 
 
-def _sample_interval(lo: float, hi: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    if not lo < hi:  # also when a path overflowed to inf or NaN
+def _sample_box(lo: np.ndarray, hi: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` points drawn uniformly from the box ``[lo, hi)``, shape (n, 2).
+
+    All n x coordinates are drawn before all n y coordinates.
+    """
+    if not (lo < hi).all():  # also when a path overflowed to inf or NaN
         raise InvalidParameter("camera/object drift too large for the frame size")
-    return rng.uniform(lo, hi, size=n)
+    return rng.uniform(lo[:, None], hi[:, None], (2, n)).T
 
 
 def generate_scene(params: SceneParams) -> LabeledScene:
@@ -164,42 +168,29 @@ def generate_scene(params: SceneParams) -> LabeledScene:
         warnings.warn(DegenerateScene(f"static camera without jitter: {detail}"))
 
     rng = np.random.default_rng([params.seed, _LAYOUT_STREAM])
-    width, height = params.frame_size
-    cushion = _JITTER_CUSHION * min(width, height) if params.sigma > 0 else 1.0
+    size = np.array(params.frame_size, dtype=float)
+    cushion = _JITTER_CUSHION * min(params.frame_size) if params.sigma > 0 else 1.0
 
     theta_cam = rng.uniform(0.0, 2.0 * np.pi)
-    # A huge finite speed overflows its path; _sample_interval refuses it.
+    # A huge finite speed overflows its path; _sample_box refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
         cam = _camera_path(params, theta_cam)
         obj = _object_path(params, theta_cam, rng)
         fg_off = cam + obj
 
-    xs = _sample_interval(
-        cushion - cam[:, 0].min(), width - cushion - cam[:, 0].max(), params.n_bg, rng
-    )
-    ys = _sample_interval(
-        cushion - cam[:, 1].min(), height - cushion - cam[:, 1].max(), params.n_bg, rng
-    )
-    r_fg = _FG_RADIUS * min(width, height)
+    bg = _sample_box(cushion - cam.min(axis=0), size - cushion - cam.max(axis=0), params.n_bg, rng)
+    r_fg = _FG_RADIUS * min(params.frame_size)
     pad = cushion + r_fg
-    cx = _sample_interval(
-        pad - fg_off[:, 0].min(), width - pad - fg_off[:, 0].max(), 1, rng
-    )[0]
-    cy = _sample_interval(
-        pad - fg_off[:, 1].min(), height - pad - fg_off[:, 1].max(), 1, rng
-    )[0]
+    center = _sample_box(pad - fg_off.min(axis=0), size - pad - fg_off.max(axis=0), 1, rng)
     radii = r_fg * np.sqrt(rng.uniform(0.0, 1.0, params.n_fg))
     angles = rng.uniform(0.0, 2.0 * np.pi, params.n_fg)
+    fg = center + radii[:, None] * np.stack((np.cos(angles), np.sin(angles)), axis=-1)
 
     # Every track covers all frames: a start point plus the camera path,
     # and for the foreground the object path too. Ids 0..n_bg-1 are the
     # background, the rest the foreground.
     n, frames = params.n_bg + params.n_fg, params.n_frames
-    x0 = np.concatenate((xs, cx + radii * np.cos(angles)))
-    y0 = np.concatenate((ys, cy + radii * np.sin(angles)))
-    points = np.empty((n, frames, 2))
-    points[: params.n_bg], points[params.n_bg :] = cam, fg_off
-    points += np.stack((x0, y0), axis=-1)[:, None]
+    points = np.concatenate((bg[:, None] + cam, fg[:, None] + fg_off))
     ids, starts, bounds = np.arange(n), np.zeros(n, dtype=np.int64), np.arange(n + 1) * frames
     columns = (ids, starts, bounds, points.reshape(-1, 2))
     store = TrajectoryStore._of_columns(*columns, frames, params.frame_size)
@@ -240,8 +231,8 @@ def fuse_jitter(store: TrajectoryStore, sigma: float, seed: int) -> TrajectorySt
         raise InvalidParameter("sigma must be >= 0")
     if sigma == 0.0:
         return store
-    width, height = store.frame_size
-    center = np.array([width / 2.0, height / 2.0])
+    size = np.array(store.frame_size, dtype=float)
+    center = size / 2.0
     linear = np.empty((store.n_frames_total, 2, 2))
     shift = np.empty((store.n_frames_total, 2))
     # The frame of every buffer row.
@@ -258,7 +249,7 @@ def fuse_jitter(store: TrajectoryStore, sigma: float, seed: int) -> TrajectorySt
             moved = np.einsum("fij,fj->fi", linear[k], p) + center + shift[k]
             if not np.isfinite(moved).all():
                 raise InvalidParameter(f"sigma={sigma:g} is too large: the jitter overflows")
-            np.clip(moved, 0.0, [width, height], out=shaken[rows])
+            np.clip(moved, 0.0, size, out=shaken[rows])
             clipped += np.count_nonzero((shaken[rows] != moved).any(axis=1))
     if clipped > MAX_CLIPPED_SHARE * len(shaken):
         message = f"sigma={sigma:g} clips {clipped} of {len(shaken)} points to the frame border"

@@ -31,6 +31,7 @@ from jitterseg.errors import (
     ParseError,
 )
 from jitterseg.io import DuplicateKey, _is_int, _parse_header, _valid_points, unique_keys
+from jitterseg import synth
 from jitterseg.segmenter import MIN_SHAPE_FRAMES
 from jitterseg.shapes import stack_preshapes, unit_phase
 
@@ -586,3 +587,54 @@ def oracle_windows(store, k, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
                 z[row, f - lo] = complex(x, y)
                 mask[row, f - lo] = True
     return z, mask
+
+
+def oracle_scene_points(params) -> np.ndarray:
+    """``generate_scene``'s point buffer by its former per-axis layout and jitter.
+
+    Four interval draws, in this order: background x, background y, then
+    the foreground center's x and y, each refused when the drift leaves
+    its interval empty. The start points are assembled as ``x0`` and
+    ``y0`` columns. The jitter's center and its clip bound are taken
+    from ``width`` and ``height`` one at a time. Returns the (M, 2)
+    buffer, tracks in id order.
+    """
+
+    def interval(lo, hi, n):
+        if not lo < hi:
+            raise InvalidParameter("camera/object drift too large for the frame size")
+        return rng.uniform(lo, hi, size=n)
+
+    rng = np.random.default_rng([params.seed, synth._LAYOUT_STREAM])
+    width, height = params.frame_size
+    cushion = synth._JITTER_CUSHION * min(width, height) if params.sigma > 0 else 1.0
+    theta_cam = rng.uniform(0.0, 2.0 * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cam = synth._camera_path(params, theta_cam)
+        fg_off = cam + synth._object_path(params, theta_cam, rng)
+    xs = interval(cushion - cam[:, 0].min(), width - cushion - cam[:, 0].max(), params.n_bg)
+    ys = interval(cushion - cam[:, 1].min(), height - cushion - cam[:, 1].max(), params.n_bg)
+    r_fg = synth._FG_RADIUS * min(width, height)
+    pad = cushion + r_fg
+    cx = interval(pad - fg_off[:, 0].min(), width - pad - fg_off[:, 0].max(), 1)[0]
+    cy = interval(pad - fg_off[:, 1].min(), height - pad - fg_off[:, 1].max(), 1)[0]
+    radii = r_fg * np.sqrt(rng.uniform(0.0, 1.0, params.n_fg))
+    angles = rng.uniform(0.0, 2.0 * np.pi, params.n_fg)
+    n, frames = params.n_bg + params.n_fg, params.n_frames
+    x0 = np.concatenate((xs, cx + radii * np.cos(angles)))
+    y0 = np.concatenate((ys, cy + radii * np.sin(angles)))
+    points = np.empty((n, frames, 2))
+    points[: params.n_bg], points[params.n_bg :] = cam, fg_off
+    points += np.stack((x0, y0), axis=-1)[:, None]
+    points = points.reshape(-1, 2)
+    if params.sigma == 0.0:
+        return points
+    center = np.array([width / 2.0, height / 2.0])
+    similarities = [
+        synth._frame_similarity(params.seed, f, params.sigma, params.frame_size)
+        for f in range(frames)
+    ]
+    linear, shift = (np.array(column) for column in zip(*similarities))
+    k = np.tile(np.arange(frames), n)
+    moved = np.einsum("fij,fj->fi", linear[k], points - center) + center + shift[k]
+    return np.clip(moved, 0.0, [width, height])

@@ -377,6 +377,58 @@ class TestLabelFile:
         assert info.value.line == 2
 
 
+# Two-line files, and what each reader makes of them.
+_TWO_LINE_FILES = {
+    "trajectories": (
+        (
+            '{"frames":3,"width":10,"height":10}',
+            '{"id":0,"start":0,"points":[[1.5,2.5],[3.5,4.5]]}',
+        ),
+        lambda path: parse_trajectories(path).points.tolist(),
+    ),
+    "labels": (
+        ('{"type":"block","range":[0,3],"labels":{"0":1}}', '{"type":"fused","labels":{"0":1}}'),
+        parse_labels,
+    ),
+}
+
+
+class TestJsonWhitespace:
+    """Only JSON's whitespace (space, tab, ``\\r``) pads a record or fills a blank line.
+
+    ``str.strip()`` would also take the form feed, the vertical tab, the
+    separators ``\\x1c``-``\\x1f``, U+0085, U+00A0, U+2028 and U+3000,
+    all of which ``json.loads`` refuses.
+    """
+
+    @pytest.mark.parametrize("where", ["before", "after", "alone"])
+    @pytest.mark.parametrize(
+        "pad", ["\x0c", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+    )
+    @pytest.mark.parametrize("kind", list(_TWO_LINE_FILES))
+    def test_other_padding_is_a_parse_error(self, tmp_path, kind, pad, where):
+        (first, second), read = _TWO_LINE_FILES[kind]
+        lines = {
+            "before": [first, pad + second],
+            "after": [first, second + pad],
+            "alone": [first, pad, second],
+        }[where]
+        path = tmp_path / "f.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines).encode())
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "\r", " \t\r"])
+    @pytest.mark.parametrize("kind", list(_TWO_LINE_FILES))
+    def test_json_whitespace_pads_and_blanks(self, tmp_path, kind, pad):
+        (first, second), read = _TWO_LINE_FILES[kind]
+        plain, padded = tmp_path / "plain.jsonl", tmp_path / "padded.jsonl"
+        plain.write_text(f"{first}\n{second}\n")
+        padded.write_bytes(f"{pad}{first}{pad}\n{pad}\n{pad}{second}{pad}\n".encode())
+        assert read(padded) == read(plain)
+
+
 class TestCli:
     def _synth(self, tmp_path, sigma, seed=7, extra=()):
         traj = tmp_path / f"scene_{sigma}_{seed}.jsonl"

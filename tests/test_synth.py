@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterseg import (
     SceneParams,
@@ -20,6 +22,8 @@ from jitterseg import (
 )
 from jitterseg.errors import DegenerateScene, InvalidParameter, UnknownId
 
+from conftest import oracle_scene_points
+
 
 def _scene(sigma=0.15, seed=0, **kw):
     return generate_scene(
@@ -27,7 +31,39 @@ def _scene(sigma=0.15, seed=0, **kw):
     )
 
 
+_SPEEDS = st.one_of(st.sampled_from([0.0, 1e308]), st.floats(0.0, 4.0))
+_SCENE_PARAMS = st.builds(
+    SceneParams,
+    n_bg=st.integers(1, 30),
+    n_fg=st.integers(1, 10),
+    n_frames=st.integers(2, 80),
+    sigma=st.sampled_from([0.0, 0.05, 0.4, 3.0]),
+    frame_size=st.tuples(st.integers(1, 2000), st.integers(1, 2000)),
+    camera_speed=_SPEEDS,
+    object_speed=_SPEEDS,
+    seed=st.integers(0, 2**40),
+)
+
+
+def _points_or_error(make, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateScene)
+        try:
+            return make(params), None
+        except InvalidParameter as exc:
+            return None, str(exc)
+
+
 class TestGenerateScene:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_SCENE_PARAMS)
+    def test_points_match_former_per_axis_layout(self, params):
+        points, error = _points_or_error(lambda p: generate_scene(p).store.points, params)
+        expected, expected_error = _points_or_error(oracle_scene_points, params)
+        assert error == expected_error
+        if error is None:
+            assert points.tobytes() == expected.tobytes()
+
     def test_zero_jitter_background_is_shape_identical(self):
         scene = _scene(sigma=0.0, seed=3)
         shapes = {t.id: to_preshape(t) for t in scene.store.trajectories}
