@@ -20,16 +20,22 @@ rounding tie), and everything where long double is not x87 extended
 precision, ``repr`` writes.
 
 A file in the compact form is decoded in bulk, a chunk of lines at a
-time, by integer scanning. One exact conversion (``_decimal``) turns
-decimal digits into the correctly rounded double, as ``float`` does,
-for both directions: the decoder reads each coordinate with it, and the
-writer reads its digits back with it to check them. Any other valid
-layout (spaces, exponents, integer coordinates, blank lines, CRLF line
-ends), and any input that can be read only once, such as a pipe, is
-read line by line, which gives the same store, and every fault is
-reported by that reader, with the same error and line number. Lines
-end at ``\\n`` only; a lone ``\\r`` is whitespace. Only JSON's
-whitespace (space, tab, ``\\r``) may pad a record or fill a blank line.
+time, from one scan of its non-digit bytes. They are the skeleton, which
+must be the records' own; the digits between them must fill exactly the
+number slots; no number but a fraction starts with a leading zero; and
+no number has more than 18 digits (a coordinate's integer part ``0``
+counts none). Each id, start and coordinate is then read as one
+integer, a coordinate's being its digits without the dot. One exact
+conversion (``_decimal``) turns decimal digits into the correctly
+rounded double, as ``float`` does, for both directions: the decoder
+reads each coordinate with it, and the writer reads its digits back
+with it to check them. Any other valid layout (spaces, exponents,
+integer coordinates, blank lines, CRLF line ends), and any input that
+can be read only once, such as a pipe, is read line by line, which
+gives the same store, and every fault is reported by that reader, with
+the same error and line number. Lines end at ``\\n`` only; a lone
+``\\r`` is whitespace. Only JSON's whitespace (space, tab, ``\\r``) may
+pad a record or fill a blank line.
 
 A label file holds an optional ``params`` record (the complete effective
 parameter set of the run), one ``block`` record per processed block
@@ -459,9 +465,26 @@ _EXACT_DIVISION = np.finfo(np.longdouble).nmant == 63
 _DIGITS = b"0123456789"
 # Every byte but a digit becomes a space, the separator np.fromstring reads.
 _DIGITS_ONLY = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
-# A record line without its digits: the head, one ``[x,y],`` per point
-# but the last, and the last point with the line's end.
-_HEAD, _POINT, _TAIL = b'{"id":,"start":,"points":[', b"[.,.],", b"[.,.]]}\n"
+# A record line with a 0 in each number slot: the head, one ``[x,y],`` per
+# point but the last, and the last point with the line's end.
+_HEAD, _POINT, _TAIL = b'{"id":0,"start":0,"points":[', b"[0.0,0.0],", b"[0.0,0.0]]}\n"
+
+
+def _skeleton(part: bytes) -> tuple[bytes, bytes]:
+    """A template part's skeleton, its non-digit bytes, and its slot pattern:
+    for each skeleton byte, 1 where a number follows it and 0 where none does."""
+    marks = [i for i, c in enumerate(part) if c not in _DIGITS]
+    return bytes(part[i] for i in marks), bytes(part[i + 1 : i + 2].isdigit() for i in marks)
+
+
+# The skeletons of the head, a point and the tail, and their slot patterns.
+_SKELETONS, _SLOTS = zip(*map(_skeleton, (_HEAD, _POINT, _TAIL)))
+
+
+def _lines(parts: tuple[bytes, bytes, bytes], counts: list[int]) -> bytes:
+    """The head, ``n - 1`` points and the tail of ``parts`` for each ``n`` of ``counts``."""
+    head, point, tail = parts
+    return b"".join(head + point * (n - 1) + tail for n in counts)
 
 
 def _decode_compact(path) -> TrajectoryStore | None:
@@ -471,13 +494,17 @@ def _decode_compact(path) -> TrajectoryStore | None:
     line, then lines ``{"id":I,"start":S,"points":[[X,Y],...]}`` whose
     numbers are plain digits, each coordinate with one dot. Such a file is
     read in chunks of whole lines (``_decode_chunk``) straight into the
-    store's columns. Anything else (whitespace, signs, exponents, blank
-    lines, CRLF line ends, non-ASCII bytes, a header that is not valid,
-    tokens of more than 18 digits) gives None, and so does a store whose
-    check raises as it is built; the file is then read line by line, and
-    that reader reports the fault with its line. The writer puts an
-    exponent in a coordinate below 1e-4 (``1e-05``), so a file that
-    holds one is read line by line too.
+    store's columns: the non-digit bytes of a chunk must be the records'
+    skeleton, its digits must fill exactly the number slots, only a
+    fraction may start with a leading zero, and every number has at most
+    18 digits (an integer part ``0`` counts none), so that each id, start
+    and coordinate reads as one 64-bit integer. Anything else (whitespace, signs, exponents,
+    blank lines, CRLF line ends, non-ASCII bytes, a header that is not
+    valid, a leading zero, more than 18 digits) gives None, and so does a
+    store whose check raises as it is built; the file is then read line
+    by line, and that reader reports the fault with its line. The writer
+    puts an exponent in a coordinate below 1e-4 (``1e-05``), so a file
+    that holds one is read line by line too.
 
     Only a regular file is decoded: a pipe, a FIFO or ``/dev/stdin`` can
     be read only once, so it is left unopened for the line-by-line reader.
@@ -545,53 +572,61 @@ def _compact_header(line: bytes) -> tuple[int, int, int] | None:
 def _decode_chunk(chunk: bytes):
     """(ids, starts, point counts, (M, 2) points) of compact record lines, or None.
 
-    ``chunk`` holds whole lines, each ending in a newline. With its digits
-    deleted it must be the records' skeleton, so every other byte is where
-    the compact form puts it and every record has at least two points.
-    No slot for a number may be empty: no colon is followed by a comma and
-    every dot stands between two digits. Each dot becomes `` 1``, so that
-    a coordinate ``I.F`` reads as the two integers ``I`` and ``10**k + F``
-    (``F`` has ``k`` digits, its leading zeros kept), and one
-    ``np.fromstring`` reads every integer of the chunk. There must be one
-    per slot, so no digit stands outside one, and the digits they account
-    for must be the chunk's digits, which rejects a leading zero and a
-    token too large for 64 bits (``np.fromstring`` clamps it). Ids, starts
-    and integer parts have at most 18 digits, and a coordinate at most 18
-    digits in all, so that its digits ``M = I * 10**k + F`` fit in 64 bits.
+    ``chunk`` holds whole lines, each ending in a newline. Its non-digit
+    bytes, found in one scan, are its skeleton, which must be the records'
+    (``_HEAD``, ``_POINT`` and ``_TAIL`` without their digits), so every
+    other byte is where the compact form puts it and every record has at
+    least two points. The runs of digits between skeleton bytes must fill
+    exactly the number slots: a run follows a skeleton byte where the slot
+    pattern says a number does, and none follows any other byte, so no
+    slot is empty and no digit stands outside one. An id, a start or a
+    coordinate's integer part starts with ``0`` only when it is ``0``;
+    a fraction may. Ids and starts have at most 18 digits, and so do a
+    coordinate's digits ``M = I * 10**k + F`` (``F`` has ``k`` digits),
+    where an integer part ``0`` counts no digit, so that every number
+    fits in 64 bits.
 
-    The coordinate is the correctly rounded double of ``M / 10**k``
-    (``_decimal``, which the writer checks its digits with too), and ``k``
-    reaches 18 for ``0.`` and 18 fraction digits.
+    With its dots deleted and every other non-digit blanked, the chunk is
+    one integer per id, start and coordinate, which one ``np.fromstring``
+    reads. The coordinate is the correctly rounded double of
+    ``M / 10**k`` (``_decimal``, which the writer checks its digits with
+    too), and ``k`` reaches 18 for ``0.`` and 18 fraction digits.
     """
-    skeleton = chunk.translate(None, _DIGITS)
-    two_points = len(_HEAD + _POINT + _TAIL) - 1  # a line of two points, without its newline
-    counts = [(len(line) - two_points) // len(_POINT) + 2 for line in skeleton.split(b"\n")[:-1]]
-    if min(counts) < 2 or skeleton != b"".join(_HEAD + _POINT * (n - 1) + _TAIL for n in counts):
-        return None
     raw = np.frombuffer(chunk, dtype=np.uint8)
-    dots, colons = np.flatnonzero(raw == ord(".")), np.flatnonzero(raw == ord(":"))
-    beside_dots = np.concatenate([raw[dots - 1], raw[dots + 1]])
     # Bytes below "0" wrap around to large values.
-    if (beside_dots - ord("0") >= 10).any() or (raw[colons + 1] == ord(",")).any():
+    marks = np.flatnonzero(raw - ord("0") >= 10)
+    skeleton = raw[marks]
+    text = skeleton.tobytes()
+    head, point, tail = _SKELETONS
+    two_points = len(head + point + tail) - 1  # a line of two points, without its newline
+    counts = [(len(line) - two_points) // len(point) + 2 for line in text.split(b"\n")[:-1]]
+    if marks[0] != 0 or min(counts) < 2 or text != _lines(_SKELETONS, counts):
         return None
-    n_points = sum(counts)
-    tokens = np.fromstring(chunk.replace(b".", b" 1").translate(_DIGITS_ONLY), np.int64, sep=" ")
-    if len(tokens) != 2 * len(counts) + 4 * n_points:
+    # The digits after each skeleton byte; the last byte is the final newline.
+    runs = np.diff(marks) - 1
+    slots = np.frombuffer(_lines(_SLOTS, counts), dtype=bool)[:-1]
+    if not np.array_equal(runs > 0, slots):
         return None
-    digits = np.searchsorted(_POW10[1:], tokens, side="right") + 1
-    if digits.sum() != len(chunk) - len(skeleton) + 2 * n_points:
+    at = np.flatnonzero(slots)
+    # Each run of digits: its length and the skeleton byte it follows.
+    n, after = runs[at], skeleton[at]
+    fraction = after == ord(".")
+    zero = (raw[marks[at] + 1] == ord("0")) & ~fraction
+    if (zero & (n > 1)).any():
         return None
+    # The digits of each number: an integer part 0 counts none, and a
+    # fraction counts with the integer part before it.
+    k = n[fraction]
+    size = np.where(zero, 0, n)
+    size[np.flatnonzero(fraction) - 1] += k
+    if (size > 18).any():
+        return None
+    tokens = np.fromstring(chunk.translate(_DIGITS_ONLY, b"."), np.int64, sep=" ")
+    in_head = after[~fraction] == ord(":")
+    ids_starts = tokens[in_head]
+    values = _decimal(tokens[~in_head], k)
     counts = np.array(counts, dtype=np.int64)
-    heads = np.cumsum(4 * counts + 2) - (4 * counts + 2)
-    in_points = np.ones(len(tokens), dtype=bool)
-    in_points[heads] = in_points[heads + 1] = False
-    whole, frac = tokens[in_points].reshape(-1, 2).T
-    k = digits[in_points][1::2] - 1
-    if (digits[~in_points] > 18).any() or (whole >= _POW10[18 - k]).any():
-        return None
-    scale = _POW10[k]
-    values = _decimal(whole * scale + (frac - scale), k)
-    return tokens[heads], tokens[heads + 1], counts, values.reshape(-1, 2)
+    return ids_starts[0::2], ids_starts[1::2], counts, values.reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,9 @@ class TrajectoryStore:
     first offending track in store order raises ``DuplicateId`` or
     ``BoundsError``, and no store is made; when the columns were read
     from a file, the error names the track's line. ``n_frames_total`` is
-    at least 2 and at most ``MAX_INT_PARAM``.
+    at least 2 and at most ``MAX_INT_PARAM``, and each side of
+    ``frame_size`` is positive and at most ``MAX_INT_PARAM``
+    (``InvalidParameter``).
     """
 
     n_frames_total: int
@@ -161,6 +163,7 @@ class TrajectoryStore:
         if n_frames_total < 2:
             raise InvalidParameter("n_frames_total must be >= 2")
         check_at_most("n_frames_total", n_frames_total)
+        check_at_most("frame_size", max(width, height))
         for column in (ids, starts, bounds, points):
             column.flags.writeable = False
         vars(self).update(n_frames_total=n_frames_total, frame_size=(width, height))

@@ -12,6 +12,7 @@ digests and the round trip without the decoder.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -111,6 +112,22 @@ class TestAgainstLineReader:
         ]
         assert got.points.tobytes() == np.concatenate([t.points for t in want] or [[]]).tobytes()
 
+    @PROPERTY
+    @given(in_range_stores())
+    def test_written_numbers_fill_the_slot_pattern(self, tmp_path_factory, store):
+        # The skeletons and the slot patterns derived from the same
+        # templates describe the written records alike: digits follow a
+        # skeleton byte exactly where the slot pattern puts a number.
+        path = tmp_path_factory.mktemp("bulk") / "t.jsonl"
+        serialize_trajectories(store, path)
+        body = path.read_bytes().partition(b"\n")[2]
+        marks = [m.start() for m in re.finditer(rb"[^0-9]", body)]
+        runs = np.diff(marks + [len(body)]) - 1
+        _, starts, ends = store.frame_spans
+        counts = (ends - starts).tolist()
+        assert bytes(body[i] for i in marks) == io._lines(io._SKELETONS, counts)
+        assert (runs > 0).tobytes() == io._lines(io._SLOTS, counts)
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         in_range_stores(),
@@ -184,6 +201,14 @@ class TestAgainstLineReader:
             pytest.param(_edited('"id":1', '"i1d":'), False, id="digit-in-key"),
             pytest.param(_edited("[[1.5", "[1[.5"), False, id="digit-between-brackets"),
             pytest.param(_edited('"id":1', '"id":' + "9" * 19), False, id="id-past-int64"),
+            pytest.param(_edited('"start":0', '"start":00'), False, id="leading-zero-start"),
+            pytest.param(_edited("100.0", "0100.0"), False, id="leading-zero-y"),
+            pytest.param(_edited("1.5", "00.5"), False, id="double-zero-integer-part"),
+            pytest.param(_edited("]]}", "]]7}"), False, id="digit-after-last-point"),
+            pytest.param(_edited(":[[", ":7[["), False, id="digit-before-points"),
+            pytest.param(HEADER + "7" + GOOD, False, id="digit-before-record"),
+            pytest.param(_edited("1.5", "1.05"), True, id="fraction-leading-zero"),
+            pytest.param(_edited("2.25", "0.0"), True, id="zero"),
         ],
     )
     def test_declines_what_it_cannot_vouch_for(self, tmp_path, text, bulk):

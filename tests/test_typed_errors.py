@@ -146,6 +146,18 @@ def _scene_params(**changes) -> SceneParams:
             id="store-of-one-frame",
         ),
         pytest.param(
+            lambda _: TrajectoryStore(_store().trajectories, 4, (2**60, 5)),
+            InvalidParameter,
+            "frame_size must be <= 2147483647",
+            id="store-frame-side-past-int32",
+        ),
+        pytest.param(
+            lambda _: TrajectoryStore(_store().trajectories, 4, (10**400, 5)),
+            InvalidParameter,
+            "frame_size must be <= 2147483647",
+            id="store-frame-side-past-float",
+        ),
+        pytest.param(
             lambda _: fuse_blocks([], _store()),
             InvalidParameter,
             "need at least one block result",
