@@ -11,7 +11,7 @@ sweeps only rescale it, and every later step re-projects the scale away.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -156,7 +156,8 @@ def stabilize_mean(
     """
     if not lam >= 0:
         raise InvalidParameter("lam must be >= 0")
-    if not math.isfinite(lam):
+    # Refuses NaN, inf and an int too large for a float, on which math.isfinite raises.
+    if not abs(lam) <= sys.float_info.max:
         raise InvalidParameter("lam must be finite")
     if iters < 1:
         raise InvalidParameter("iters must be >= 1")

@@ -10,7 +10,7 @@ import typing
 
 from .errors import InvalidParameter, JittersegError
 from .io import parse_labels, parse_trajectories, serialize_labels, serialize_trajectories
-from .io import BOM_MESSAGE, unique_keys
+from .io import decode_json
 from .segmenter import SegmenterParams, check_at_most, segment_store
 from .synth import SceneParams, generate_scene, metrics_from_labels
 
@@ -105,12 +105,9 @@ def _merge(args: dict, options: tuple[_Option, ...]) -> dict:
     config = {}
     if args.get("config") is not None:
         try:
-            with open(args["config"], "r", encoding="utf-8") as f:
-                text = f.read()
-            if text.startswith("\ufeff"):
-                _PARSER.error(f"cannot read config: {BOM_MESSAGE}")
-            loaded = json.loads(text, object_pairs_hook=unique_keys)
-        except (OSError, ValueError) as exc:  # JSON, UTF-8 and duplicate-key errors
+            with open(args["config"], "rb") as f:
+                loaded = decode_json(f.read())
+        except (OSError, ValueError) as exc:  # a JSON fault is worded as in a record
             _PARSER.error(f"cannot read config: {exc}")
         if not isinstance(loaded, dict):
             _PARSER.error("config must be a JSON object")

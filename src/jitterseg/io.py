@@ -37,6 +37,12 @@ the same error and line number. Lines end at ``\\n`` only; a lone
 ``\\r`` is whitespace. Only JSON's whitespace (space, tab, ``\\r``) may
 pad a record or fill a blank line.
 
+Every JSON text the program reads, a trajectory or label line, the
+header of a compact file and a ``--config`` file, is held to one rule,
+``decode_json``: UTF-8 with no byte-order mark, each object key once,
+integers within Python's str-to-int digit limit and nesting within the
+recursion limit. Each fault is worded the same wherever it is found.
+
 A label file holds an optional ``params`` record (the complete effective
 parameter set of the run), one ``block`` record per processed block
 (its frame range ``[start, end)`` with ``0 <= start < end`` and its
@@ -69,11 +75,6 @@ class DuplicateKey(ValueError):
     """A JSON object names one key twice."""
 
 
-# What a reader reports for text that starts with U+FEFF, the byte-order
-# mark some editors put at the head of a UTF-8 file.
-BOM_MESSAGE = "unexpected UTF-8 byte-order mark"
-
-
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """``json`` object pairs hook: the object as a dict, ``DuplicateKey`` on a repeat."""
     obj = dict(pairs)
@@ -86,42 +87,59 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+_DECODE = json.JSONDecoder(object_pairs_hook=unique_keys).decode
+
+
+def decode_json(raw: bytes):
+    """The JSON value of ``raw``, or ``ValueError`` whose text is the reason.
+
+    This is the one rule for every JSON text the program reads: trajectory
+    and label lines, the header of a compact file and a ``--config`` file.
+    The text must be UTF-8 (``not UTF-8 text``) and must not start, after
+    JSON's whitespace, with a byte-order mark (``unexpected UTF-8
+    byte-order mark``). An object that names a key twice raises
+    ``DuplicateKey`` (``unique_keys``); any other fault is ``invalid JSON
+    (...)``: the decoder's own message, an integer past Python's
+    str-to-int digit limit (``integer too long``) or nesting past the
+    recursion limit (``nested too deeply``).
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("not UTF-8 text") from None
+    # U+FEFF is the byte-order mark some editors put at the head of a UTF-8 file.
+    if text.lstrip(" \t\r\n").startswith("\ufeff"):
+        raise ValueError("unexpected UTF-8 byte-order mark")
+    try:
+        return _DECODE(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except DuplicateKey:
+        raise
+    except ValueError:  # an integer past Python's str-to-int digit limit
+        raise ValueError("invalid JSON (integer too long)") from None
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
+
+
 def _records(path):
     """Yield (line number, JSON value) for each non-blank line of a file.
 
-    Lines end at ``\\n`` only: a lone ``\\r`` is JSON whitespace, and the
-    ``\\r`` of a CRLF line end goes when the line is stripped of JSON's
-    whitespace (space, tab, ``\\r``, ``\\n``), before it is decoded. Other
+    Lines end at ``\\n`` only: a lone ``\\r`` is JSON whitespace, and a
+    line of only JSON's whitespace (space, tab, ``\\r``) is blank. Other
     padding, such as a form feed or U+00A0, is invalid JSON, and a line
-    of it is not blank. Undecodable bytes are read as escapes, so a line
-    that is not UTF-8 or not JSON is a ``ParseError`` with its number,
-    and so are a leading byte-order mark, an integer too long to convert
-    and an object that names a key twice (``unique_keys``). One decoder
-    serves the whole file.
+    of it is not blank. Each other line is decoded by ``decode_json``, and
+    its fault is a ``ParseError`` with the reason and the line number.
     """
-    decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip(" \t\r\n")  # JSON's whitespace, not all of Unicode's
+            line = line.strip(b" \t\r\n")  # JSON's whitespace, not all of Unicode's
             if not line:
                 continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError("not UTF-8 text", lineno) from None
-                if line[0] == "\ufeff":
-                    raise ParseError(BOM_MESSAGE, lineno)
             try:
-                rec = decode(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
-            except DuplicateKey as exc:
+                rec = decode_json(line)
+            except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            except ValueError:  # an integer past Python's str-to-int digit limit
-                raise ParseError("invalid JSON (integer too long)", lineno) from None
-            except RecursionError:
-                raise ParseError("invalid JSON (nested too deeply)", lineno) from None
             yield lineno, rec
 
 
@@ -136,7 +154,7 @@ _POINTS_MESSAGE = "'points' must be a list of >= 2 [x, y] pairs"
 def _valid_points(pts) -> bool:
     """True when ``pts`` is a list of >= 2 ``[x, y]`` pairs of numbers.
 
-    ``pts`` comes from ``json.loads``, whose values have exact builtin
+    ``pts`` comes from ``decode_json``, whose values have exact builtin
     types, so ``type`` sets decide it in C: ``bool`` (a subclass of
     ``int``), ``None``, strings, objects and nested lists are rejected.
     """
@@ -498,11 +516,13 @@ def _decode_compact(path) -> TrajectoryStore | None:
     skeleton, its digits must fill exactly the number slots, only a
     fraction may start with a leading zero, and every number has at most
     18 digits (an integer part ``0`` counts none), so that each id, start
-    and coordinate reads as one 64-bit integer. Anything else (whitespace, signs, exponents,
-    blank lines, CRLF line ends, non-ASCII bytes, a header that is not
-    valid, a leading zero, more than 18 digits) gives None, and so does a
-    store whose check raises as it is built; the file is then read line
-    by line, and that reader reports the fault with its line. The writer
+    and coordinate reads as one 64-bit integer. The header line is held
+    to the line-by-line reader's rule (``_compact_header``). Anything else
+    in the records (whitespace, signs, exponents, blank lines, CRLF line
+    ends, non-ASCII bytes, a leading zero, more than 18 digits) gives
+    None, and so do a header that is not valid and a store whose check
+    raises as it is built; the file is then read line by line, and that
+    reader reports the fault with its line. The writer
     puts an exponent in a coordinate below 1e-4 (``1e-05``), so a file
     that holds one is read line by line too.
 
@@ -558,14 +578,15 @@ def _decode_compact(path) -> TrajectoryStore | None:
 
 
 def _compact_header(line: bytes) -> tuple[int, int, int] | None:
-    """The header of the first line, or None when it is not a valid ASCII header."""
+    """The header of the first line, or None when it is not a valid header.
+
+    The line is decoded by ``decode_json``, the rule the line-by-line
+    reader applies to it, so a header that reader accepts is accepted here.
+    """
     try:
-        text = line.decode("ascii")
-        rec = json.loads(text, object_pairs_hook=unique_keys)
-        if type(rec) is not dict:
-            return None
-        return _parse_header(rec, 1)
-    except (ValueError, RecursionError, ParseError):
+        rec = decode_json(line)
+        return _parse_header(rec, 1) if type(rec) is dict else None
+    except (ValueError, ParseError):
         return None
 
 

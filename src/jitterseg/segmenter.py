@@ -26,7 +26,7 @@ parsed file and its labels.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -323,8 +323,9 @@ class SegmenterParams:
                 raise InvalidParameter(f"{name} must be in (0, 1]")
         if self.max_block_len < MIN_BLOCK_LEN:
             raise InvalidParameter(f"max_block_len must be >= {MIN_BLOCK_LEN}")
+        # Refuses NaN, inf and an int too large for a float, on which math.isfinite raises.
         for name in ("omega", "lam"):
-            if not math.isfinite(getattr(self, name)):
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise InvalidParameter(f"{name} must be finite")
 
 

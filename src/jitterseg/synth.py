@@ -10,7 +10,7 @@ Everything is a deterministic function of the scene seed.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -81,8 +81,9 @@ class SceneParams:
             check_at_most(name, value)
         if self.seed < 0:
             raise InvalidParameter("seed must be >= 0")
+        # Refuses NaN, inf and an int too large for a float, on which math.isfinite raises.
         for name in ("sigma", "camera_speed", "object_speed"):
-            if not math.isfinite(getattr(self, name)):
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise InvalidParameter(f"{name} must be finite")
 
 

@@ -184,6 +184,10 @@ class TestAgainstLineReader:
             pytest.param(_edited("0.0", "-0.0"), False, id="negative-zero"),
             pytest.param(_edited("}", ',"note":"\u00e9"}'), False, id="non-ascii"),
             pytest.param("\ufeff" + HEADER + GOOD, False, id="byte-order-mark"),
+            # The header is held to the line reader's rule, which takes UTF-8.
+            pytest.param(
+                HEADER.replace("}", ',"note":"\u00e9"}') + GOOD, True, id="non-ascii-header"
+            ),
             # A lone carriage return is whitespace to both readers.
             pytest.param(HEADER.replace(",", ",\r") + GOOD, True, id="header-cr"),
             pytest.param(HEADER.replace("4", "1") + GOOD, False, id="bad-header"),

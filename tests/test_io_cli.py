@@ -429,6 +429,39 @@ class TestJsonWhitespace:
         assert read(padded) == read(plain)
 
 
+class TestOneJsonRule:
+    """A ``--config`` file is held to the JSON rule of a trajectory or label
+    record, and a fault in it is worded as the same fault in a record."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(b'{"seed": }', id="invalid-json"),
+            pytest.param(b'{"seed": 1, "seed": 2}', id="repeated-key"),
+            pytest.param(b'\xef\xbb\xbf{"seed": 1}', id="byte-order-mark"),
+            pytest.param(b'{"seed": \xff}', id="not-utf8"),
+            pytest.param(b'{"seed": ' + b"1" * 4301 + b"}", id="integer-too-long"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deeply"),
+        ],
+    )
+    def test_config_fault_reads_as_a_record_fault(self, tmp_path, capsys, text):
+        cfg, traj, labels = tmp_path / "cfg.json", tmp_path / "t.jsonl", tmp_path / "l.jsonl"
+        cfg.write_bytes(text)
+        traj.write_bytes(b'{"frames":4,"width":100,"height":100}\n' + text + b"\n")
+        labels.write_bytes(text + b"\n")
+        assert run_cli(["segment", "--config", str(cfg), "--input", "x", "--output", "y"]) == 2
+        prefix = "jitterseg: error: cannot read config: "
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(prefix)
+        reason = last[len(prefix) :]
+        with pytest.raises(ParseError) as record:
+            parse_trajectories(traj)
+        assert str(record.value) == f"line 2: {reason}"
+        with pytest.raises(ParseError) as label:
+            parse_labels(labels)
+        assert str(label.value) == f"line 1: {reason}"
+
+
 class TestCli:
     def _synth(self, tmp_path, sigma, seed=7, extra=()):
         traj = tmp_path / f"scene_{sigma}_{seed}.jsonl"
@@ -1357,6 +1390,47 @@ class TestReadOnceInput:
                 writer.join()
                 os.close(reader)
         assert out.read_bytes() == self._labels_of_regular_file(scene_file, tmp_path)
+
+
+def _read_fifo(fifo: Path, data: bytes, read):
+    """``read(fifo)`` in this process while a thread writes ``data`` into the FIFO."""
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        result = read(fifo)
+    finally:
+        # A reader of our own lets the writer's open return if ``read`` never opened the FIFO.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(timeout=60)
+        os.close(reader)
+    assert not writer.is_alive()
+    return result
+
+
+def test_fifo_read_in_process(scene_file, tmp_path):
+    """A compact scene in a FIFO is left to the line reader, in this process,
+    and gives the columns and the labels of the same scene in a regular file."""
+    data = scene_file.read_bytes()
+    want = parse_trajectories(scene_file)
+    got = _read_fifo(tmp_path / "a.fifo", data, parse_trajectories)
+    assert (got.n_frames_total, got.frame_size) == (want.n_frames_total, want.frame_size)
+    for column in ("ids", "starts", "bounds", "points"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+    args = ["segment", "--seed", "7", "--jobs", "1", "--output"]
+    regular, fifo = tmp_path / "regular.jsonl", tmp_path / "fifo.jsonl"
+    assert run_cli([*args, str(regular), "--input", str(scene_file)]) == 0
+
+    def segment(path):
+        return run_cli([*args, str(fifo), "--input", str(path)])
+
+    assert _read_fifo(tmp_path / "b.fifo", data, segment) == 0
+    assert fifo.read_bytes() == regular.read_bytes()
 
 
 def _edits(base: bytes):

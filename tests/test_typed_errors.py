@@ -101,6 +101,13 @@ def _store() -> TrajectoryStore:
             "jitterseg: error: config must be a JSON object",
             id="config-not-an-object",
         ),
+        pytest.param(
+            ["segment", "--config", "cfg.json", "--output", "out.jsonl"],
+            {"cfg.json": "[" * 100_000 + "]" * 100_000},
+            2,
+            "jitterseg: error: cannot read config: invalid JSON (nested too deeply)",
+            id="config-nested-too-deeply",
+        ),
     ],
 )
 def test_cli(tmp_path, capsys, argv, files, code, err):
@@ -228,6 +235,42 @@ def _scene_params(**changes) -> SceneParams:
             ParseError,
             "line 1: record is not an object",
             id="first-line-not-an-object",
+        ),
+        pytest.param(
+            lambda _: SegmenterParams(omega=10**400),
+            InvalidParameter,
+            "omega must be finite",
+            id="segmenter-omega-past-float",
+        ),
+        pytest.param(
+            lambda _: SegmenterParams(lam=10**400),
+            InvalidParameter,
+            "lam must be finite",
+            id="segmenter-lam-past-float",
+        ),
+        pytest.param(
+            lambda _: _scene_params(sigma=10**400),
+            InvalidParameter,
+            "sigma must be finite",
+            id="scene-sigma-past-float",
+        ),
+        pytest.param(
+            lambda _: _scene_params(camera_speed=10**400),
+            InvalidParameter,
+            "camera_speed must be finite",
+            id="scene-camera-speed-past-float",
+        ),
+        pytest.param(
+            lambda _: _scene_params(object_speed=10**400),
+            InvalidParameter,
+            "object_speed must be finite",
+            id="scene-object-speed-past-float",
+        ),
+        pytest.param(
+            lambda _: stabilize_mean(np.ones((4, 2)), 10**400),
+            InvalidParameter,
+            "lam must be finite",
+            id="stabilize-lam-past-float",
         ),
     ],
 )
